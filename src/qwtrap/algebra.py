@@ -91,21 +91,22 @@ def coin_matrix(coin: Coin) -> np.ndarray:
     )
 
 
-def _kernel_vector(m: np.ndarray) -> np.ndarray:
-    """Unit vector in the kernel of a rank-deficient 2x2 matrix.
+def kernel_vectors(mats: np.ndarray) -> np.ndarray:
+    """Unit kernel vectors of rank-deficient 2x2 matrices, batched.
 
-    The row with the larger 1-norm supplies the reliable linear constraint;
-    for the zero matrix every direction works and ``e1`` is returned.
+    ``mats`` has shape ``(..., 2, 2)`` and the result ``(..., 2)``.  The row
+    with the larger 1-norm supplies the constraint, so a vanishing row never
+    contaminates the result; for the zero matrix every direction works and
+    ``e1`` is returned.
     """
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
-    if abs(a) + abs(b) >= abs(c) + abs(d):
-        v = vec2(b, -a)
-    else:
-        v = vec2(d, -c)
-    n = math.hypot(abs(v[0]), abs(v[1]))
-    if n == 0.0:
-        return vec2(1.0, 0.0)
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    use_top = (np.abs(a) + np.abs(b)) >= (np.abs(c) + np.abs(d))
+    v = np.stack([np.where(use_top, b, d), np.where(use_top, -a, -c)], axis=-1)
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not n.all():
+        zero = n == 0.0
+        v, n = np.where(zero, vec2(1.0, 0.0), v), np.where(zero, 1.0, n)
     return v / n
 
 
@@ -121,6 +122,5 @@ def eig2(m: np.ndarray) -> tuple[complex, np.ndarray, complex, np.ndarray]:
     disc = cmath.sqrt(tr * tr - 4.0 * (a * d - b * c))
     z1 = 0.5 * (tr + disc)
     z2 = 0.5 * (tr - disc)
-    v1 = _kernel_vector(mat2(a - z1, b, c, d - z1))
-    v2 = _kernel_vector(mat2(a - z2, b, c, d - z2))
+    v1, v2 = kernel_vectors(np.array([mat2(a - z, b, c, d - z) for z in (z1, z2)]))
     return z1, v1, z2, v2

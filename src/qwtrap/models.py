@@ -1,17 +1,19 @@
 """Closed-form point spectra for five exactly solvable coin-field families.
 
 Every family below is a two-phase field with at most one defect, so its
-point spectrum, eigenvectors, and time-averaged limit distribution admit
-closed forms in the coin parameters.  Each ``modelK`` function checks the
-family's standing assumptions, decides existence, and returns a
-:class:`ModelReport` carrying eigenphases, unit eigenvectors with
-geometric tails, the family's derived scalars, and a closed-form
-evaluator for the limit distribution of an origin-supported state.
+point spectrum and time-averaged limit distribution admit closed forms in
+the coin parameters.  Each ``modelK`` function checks the family's
+standing assumptions, decides existence, and returns a
+:class:`ModelReport` carrying the eigenphases with their branch labels,
+the family's derived scalars, and a closed-form evaluator for the limit
+distribution of an origin-supported state.
 
 ``defect_closed_form`` is the general construction: given any admissible
 eigenphase of a field with cuts at x = -1, +1 it produces the eigenvector,
 its squared-norm profile, and the overlap weight without reference to a
-particular family.
+particular family.  A report's eigenvectors come from it, built on first
+use, so a caller that reads only the phases (such as a figure sweep)
+never builds a vector.
 
 Families (``minus`` coin on x < 0, ``plus`` coin on x > 0):
 
@@ -21,10 +23,9 @@ Families (``minus`` coin on x < 0, ``plus`` coin on x > 0):
 4. origin = plus, rotation phases matched across the phases
 5. reflectionless origin (beta_o = 0), equal beta moduli, matched deltas
 
-Eigenvector normalizers come from the closed-form geometric tail sums.
-After construction every eigenvector is renormalized numerically and the
-correction factor is kept on the report; a correction away from 1 flags a
-transcription error in the normalizer rather than silently biasing the
+``defect_closed_form`` renormalizes its eigenvector numerically and keeps
+the correction factor; a correction away from 1 flags a transcription
+error in its closed-form normalizer rather than silently biasing the
 distribution.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping
@@ -86,12 +88,17 @@ FAMILY_TRAPPING: Mapping[int, TrappingClass] = {
 class ModelReport:
     """Closed-form spectral data for one family at concrete parameters.
 
-    ``eigenphases``, ``branch_of``, ``normalizers``, ``norm_corrections``
-    and ``vectors`` are index-aligned.  ``vectors`` hold unit eigenvectors
-    (numerically renormalized); ``norm_corrections`` are the norms the
-    closed-form normalizers produced before renormalization, expected to
-    be 1 within 1e-8.  ``nu_bar(psi1, psi2, x)`` evaluates the closed-form
-    time-averaged limit distribution for a unit state at the origin.
+    ``eigenphases`` and ``branch_of`` are index-aligned, and so are
+    ``closed_forms``, ``vectors``, ``normalizers`` and
+    ``norm_corrections``.  Those four are built on first access from
+    :func:`defect_closed_form` at each eigenphase, so a report whose
+    caller reads only the phases never builds a vector.  ``vectors`` hold
+    unit eigenvectors (numerically renormalized); ``normalizers`` are the
+    closed-form normalizers ``DefectEigenForm.normalizer``;
+    ``norm_corrections`` are the norms those normalizers produced before
+    renormalization, expected to be 1 within 1e-8.
+    ``nu_bar(psi1, psi2, x)`` evaluates the closed-form time-averaged limit
+    distribution for a unit state at the origin.
     ``branch_plus``/``branch_minus`` are the per-branch existence
     indicators for the families that split into two branches, ``None``
     where the family has a single existence condition.
@@ -107,11 +114,24 @@ class ModelReport:
     branch_of: tuple[str, ...]
     scalars: Mapping[str, float]
     coefficients: Mapping[str, float]
-    normalizers: tuple[complex, ...]
-    norm_corrections: tuple[float, ...]
-    vectors: tuple[GeometricVector, ...]
     nu_bar: Callable[[complex, complex, int], float] = dc_field(repr=False, compare=False)
     trapping_class: TrappingClass = TrappingClass.NOT_STRONGLY_TRAPPED
+
+    @functools.cached_property
+    def closed_forms(self) -> tuple[DefectEigenForm, ...]:
+        return tuple(defect_closed_form(self.field, lam) for lam in self.eigenphases)
+
+    @property
+    def vectors(self) -> tuple[GeometricVector, ...]:
+        return tuple(f.vector for f in self.closed_forms)
+
+    @property
+    def normalizers(self) -> tuple[float, ...]:
+        return tuple(f.normalizer for f in self.closed_forms)
+
+    @property
+    def norm_corrections(self) -> tuple[float, ...]:
+        return tuple(f.norm_correction for f in self.closed_forms)
 
     def eigenvector(self, k: int, x: int) -> np.ndarray:
         return self.vectors[k].value(x)
@@ -162,25 +182,9 @@ def _empty_report(model_id: int, field: CoinField, psi, scalars, branch_plus=Non
         branch_of=(),
         scalars=scalars,
         coefficients={},
-        normalizers=(),
-        norm_corrections=(),
-        vectors=(),
         nu_bar=lambda q1, q2, x: 0.0,
         trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
     )
-
-
-def _finish(entries) -> tuple[tuple, tuple, tuple, tuple, tuple]:
-    """Renormalize raw closed-form vectors; keep the correction factors."""
-    phases, labels, norms, corrections, vectors = [], [], [], [], []
-    for lam, label, norm, gv in entries:
-        c = math.sqrt(gv.norm_sq_total())
-        phases.append(lam)
-        labels.append(label)
-        norms.append(norm)
-        corrections.append(c)
-        vectors.append(gv.scaled(1.0 / c))
-    return tuple(phases), tuple(labels), tuple(norms), tuple(corrections), tuple(vectors)
 
 
 def _phase(unit: complex, sign: float) -> float:
@@ -214,26 +218,11 @@ def model1(common: Coin, origin: Coin, psi) -> ModelReport:
     rK = math.sqrt(K)
     sAB = math.sqrt(A + B)
     eid = cmath.exp(1j * dlt)
-    entries = []
+    phases, labels = [], []
     for s, label in ((1.0, "plus"), (-1.0, "minus")):
         eig_unit = (A + 1j * s * rK) / sAB * eid
-        N = math.sqrt(abs(ao) ** 2 * B / (2 * (A + B) ** 2 * (rK - s * im) * rK))
-        top = b * (A + 1j * s * rK) + bo * (B - 1j * s * rK)
-        v_plus = np.array([top / ao, 1j * s * (A + B) * (rK - s * im) / (ao * a.conjugate())])
-        v0 = np.array([top / ao, -(B - 1j * s * rK)])
-        v_minus = np.array([b * (A + B) / a, -(B - 1j * s * rK)])
-        for sign in (1.0, -1.0):
-            gv = GeometricVector(
-                plus_cut=1,
-                minus_cut=-1,
-                zeta_in=sign * a.conjugate() / sAB,
-                zeta_out=sign * sAB / a,
-                plus_coef=sign * N * v_plus,
-                minus_coef=sign * N * v_minus,
-                middle=np.array([sign * N * v0]),
-            )
-            entries.append((_phase(eig_unit, sign), label, N, gv))
-    phases, labels, norms, corrections, vectors = _finish(entries)
+        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
+        labels += [label, label]
 
     pref = 2.0 * (B / (A + B)) ** 2
     ratio = abs(a) ** 2 / (A + B)
@@ -257,13 +246,10 @@ def model1(common: Coin, origin: Coin, psi) -> ModelReport:
         exists=True,
         branch_plus=None,
         branch_minus=None,
-        eigenphases=phases,
-        branch_of=labels,
+        eigenphases=tuple(phases),
+        branch_of=tuple(labels),
         scalars=scalars,
         coefficients={"C_plus": coef(p1, p2, 1), "C_minus": coef(p1, p2, -1)},
-        normalizers=norms,
-        norm_corrections=corrections,
-        vectors=vectors,
         nu_bar=nu_bar,
         trapping_class=TrappingClass.STRONGLY_TRAPPED,
     )
@@ -297,32 +283,14 @@ def model2(common: Coin, origin: Coin, psi) -> ModelReport:
     if not any(live.values()):
         return _empty_report(2, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
 
-    entries = []
+    phases, labels = [], []
     for s, label in ((1.0, "plus"), (-1.0, "minus")):
         if not live[s]:
             continue
-        A = amps[s]
         num = cmath.exp(1j * dlt) - bb * (bb + 1j * s * aa) * cmath.exp(1j * dlo)
         eig_unit = num / abs(num)
-        N = math.sqrt(bb - gammas[s]) / (math.sqrt(2.0 * bb) * A)
-        g = bb - (bb - 1j * s * aa) * w
-        v_plus = (-s * 1j * aa * bb / (ao * a.conjugate() * b.conjugate())) * np.array(
-            [a.conjugate() * bb * g, b.conjugate() * A]
-        )
-        v0 = (-bb * g / (ao * b.conjugate())) * np.array([s * 1j * aa * bb, ao * b.conjugate()])
-        v_minus = (1.0 / a) * np.array([b * A, -a * bb * g])
-        for sign in (1.0, -1.0):
-            gv = GeometricVector(
-                plus_cut=1,
-                minus_cut=-1,
-                zeta_in=sign * a.conjugate() / math.sqrt(A),
-                zeta_out=sign * math.sqrt(A) / a,
-                plus_coef=sign * N * v_plus,
-                minus_coef=sign * N * v_minus,
-                middle=np.array([sign * N * v0]),
-            )
-            entries.append((_phase(eig_unit, sign), label, N, gv))
-    phases, labels, norms, corrections, vectors = _finish(entries)
+        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
+        labels += [label, label]
 
     def coef(q1: complex, q2: complex, s: float) -> float:
         if not live[s]:
@@ -348,13 +316,10 @@ def model2(common: Coin, origin: Coin, psi) -> ModelReport:
         exists=True,
         branch_plus=live[1.0],
         branch_minus=live[-1.0],
-        eigenphases=phases,
-        branch_of=labels,
+        eigenphases=tuple(phases),
+        branch_of=tuple(labels),
         scalars=scalars,
         coefficients={"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)},
-        normalizers=norms,
-        norm_corrections=corrections,
-        vectors=vectors,
         nu_bar=nu_bar,
         trapping_class=TrappingClass.STRONGLY_TRAPPED if both else TrappingClass.NOT_STRONGLY_TRAPPED,
     )
@@ -388,29 +353,14 @@ def model3(minus: Coin, plus: Coin, psi) -> ModelReport:
         return _empty_report(3, field, (p1, p2), scalars)
     den = bbp * M - bbm * P
     if den <= BOUNDARY_TOL:
-        raise DegeneracyError("family 3: |beta_p| M - |beta_m| P = 0 makes the normalizer singular")
+        raise DegeneracyError("family 3: |beta_p| M - |beta_m| P = 0 makes the limit distribution singular")
     rK = math.sqrt(K)
     num = bbp * cmath.exp(1j * dm) - bbm * cmath.exp(1j * dp)
     eig_unit = num / abs(num)
-    # total norm of the raw tails is (|beta_m|/|beta_p|) den^2 / sqrt(K)
-    N = math.sqrt(bbp * rK) / (math.sqrt(bbm) * den)
-    v_plus = (1.0 / ap) * np.array([bm * (P + bbp * rK), -ap * bbm * (1j * sd + rK)])
-    v_minus = (1.0 / am) * np.array([bm * (M + bbm * rK), -am * bbm * (1j * sd + rK)])
-    entries = []
-    for sign in (1.0, -1.0):
-        gv = GeometricVector(
-            plus_cut=0,
-            minus_cut=-1,
-            zeta_in=sign * (P + bbp * rK) / (ap * math.sqrt(den)),
-            zeta_out=sign * (M + bbm * rK) / (am * math.sqrt(den)),
-            plus_coef=sign * N * v_plus,
-            minus_coef=sign * N * v_minus,
-            middle=np.empty((0, 2), dtype=np.complex128),
-        )
-        entries.append((_phase(eig_unit, sign), "pair", N, gv))
-    phases, labels, norms, corrections, vectors = _finish(entries)
-    zin2 = abs(vectors[0].zeta_in) ** 2
-    zout2 = abs(vectors[0].zeta_out) ** 2
+    phases, labels = [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)], ["pair", "pair"]
+    # squared moduli of the transfer eigenvalues on each side
+    zin2 = abs((P + bbp * rK) / (ap * math.sqrt(den))) ** 2
+    zout2 = abs((M + bbm * rK) / (am * math.sqrt(den))) ** 2
 
     def coef(q1: complex, q2: complex) -> float:
         ip = ap * bm.conjugate() * q1 * q2.conjugate()
@@ -434,13 +384,10 @@ def model3(minus: Coin, plus: Coin, psi) -> ModelReport:
         exists=True,
         branch_plus=None,
         branch_minus=None,
-        eigenphases=phases,
-        branch_of=labels,
+        eigenphases=tuple(phases),
+        branch_of=tuple(labels),
         scalars=scalars,
         coefficients={"C": coef(p1, p2)},
-        normalizers=norms,
-        norm_corrections=corrections,
-        vectors=vectors,
         nu_bar=nu_bar,
         trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
     )
@@ -471,24 +418,10 @@ def model4(minus: Coin, plus: Coin, psi) -> ModelReport:
     rK = math.sqrt(K)
     PM = P + M  # equals |beta_p - beta_m|^2 and K + im^2
     eig_unit = cmath.exp(1j * dlt) * (rK + 1j * im) / abs(bp - bm)
-    N = (bm / abs(bm)) / PM * math.sqrt(P * M / rK)
-    v_plus = (1.0 / ap) * np.array([-P + rK, ap * (bp.conjugate() - bm.conjugate())])
-    v_minus = (1.0 / am) * np.array([M + rK, am * (bp.conjugate() - bm.conjugate())])
-    entries = []
-    for sign in (1.0, -1.0):
-        gv = GeometricVector(
-            plus_cut=0,
-            minus_cut=-1,
-            zeta_in=sign * (-P + rK) / (ap * math.sqrt(PM)),
-            zeta_out=sign * (M + rK) / (am * math.sqrt(PM)),
-            plus_coef=sign * N * v_plus,
-            minus_coef=sign * N * v_minus,
-            middle=np.empty((0, 2), dtype=np.complex128),
-        )
-        entries.append((_phase(eig_unit, sign), "pair", N, gv))
-    phases, labels, norms, corrections, vectors = _finish(entries)
-    zin2 = abs(vectors[0].zeta_in) ** 2
-    zout2 = abs(vectors[0].zeta_out) ** 2
+    phases, labels = [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)], ["pair", "pair"]
+    # squared moduli of the transfer eigenvalues on each side
+    zin2 = abs((-P + rK) / (ap * math.sqrt(PM))) ** 2
+    zout2 = abs((M + rK) / (am * math.sqrt(PM))) ** 2
 
     def coef(q1: complex, q2: complex) -> float:
         ipd = ap * (bp.conjugate() - bm.conjugate()) * q1 * q2.conjugate()
@@ -511,13 +444,10 @@ def model4(minus: Coin, plus: Coin, psi) -> ModelReport:
         exists=True,
         branch_plus=None,
         branch_minus=None,
-        eigenphases=phases,
-        branch_of=labels,
+        eigenphases=tuple(phases),
+        branch_of=tuple(labels),
         scalars=scalars,
         coefficients={"C": coef(p1, p2)},
-        normalizers=norms,
-        norm_corrections=corrections,
-        vectors=vectors,
         nu_bar=nu_bar,
         trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
     )
@@ -554,34 +484,14 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
     if not any(live.values()):
         return _empty_report(5, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
 
-    entries = []
+    phases, labels = [], []
     for s, label in ((1.0, "plus"), (-1.0, "minus")):
         if not live[s]:
             continue
-        A = amps[s]
         num = cmath.exp(1j * dlt) + 1j * s * bb * cmath.exp(1j * gam)
         eig_unit = num / abs(num)
-        N = math.sqrt((bb + s * sg) / (2.0 * bb * A ** 2))
-        g = 1.0 + 1j * s * bb * cmath.exp(-1j * (dlt - gam))
-        h = bb - 1j * s * cmath.exp(1j * (dlt - gam))
-        v_plus = (1.0 / (ao * ap.conjugate())) * np.array(
-            [ap.conjugate() * bm * cmath.exp(1j * (dlt - dlo)) * g,
-             1j * s * bb * A * cmath.exp(1j * (dlo - gam))]
-        )
-        v0 = (1.0 / ao) * np.array([bm * cmath.exp(1j * (dlt - dlo)) * g, -ao * bb * h])
-        v_minus = (1.0 / am) * np.array([bm * A, -am * bb * h])
-        for sign in (1.0, -1.0):
-            gv = GeometricVector(
-                plus_cut=1,
-                minus_cut=-1,
-                zeta_in=sign * ap.conjugate() / math.sqrt(A),
-                zeta_out=sign * math.sqrt(A) / am,
-                plus_coef=sign * N * v_plus,
-                minus_coef=sign * N * v_minus,
-                middle=np.array([sign * N * v0]),
-            )
-            entries.append((_phase(eig_unit, sign), label, N, gv))
-    phases, labels, norms, corrections, vectors = _finish(entries)
+        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
+        labels += [label, label]
 
     def coef(q1: complex, q2: complex, s: float) -> float:
         if not live[s]:
@@ -606,13 +516,10 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
         exists=True,
         branch_plus=live[1.0],
         branch_minus=live[-1.0],
-        eigenphases=phases,
-        branch_of=labels,
+        eigenphases=tuple(phases),
+        branch_of=tuple(labels),
         scalars=scalars,
         coefficients={"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)},
-        normalizers=norms,
-        norm_corrections=corrections,
-        vectors=vectors,
         nu_bar=nu_bar,
         trapping_class=TrappingClass.STRONGLY_TRAPPED if both else TrappingClass.NOT_STRONGLY_TRAPPED,
     )

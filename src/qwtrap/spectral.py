@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import TWO_PI, Coin, mat2
+from .algebra import TWO_PI, Coin, kernel_vectors
 from .walk import CoinField, Distribution, WalkState
 
 #: Discriminants below this count as outside the admissible phase set.
@@ -47,20 +47,42 @@ class NoEigenvalueError(ValueError):
     """The phase is not an eigenphase of the walk."""
 
 
-def transfer_matrix(coin: Coin, lam: float) -> np.ndarray:
-    """Transfer matrix of the reshaped eigenvector recurrence at one site."""
-    th = lam - coin.delta
+def transfer_matrix(coin: Coin, lam) -> np.ndarray:
+    """Transfer matrix of the reshaped eigenvector recurrence at one site.
+
+    An array of phases gives one matrix per phase, of shape
+    ``lam.shape + (2, 2)``.
+    """
+    e = _cis(lam - coin.delta)
     a = coin.alpha
-    e = complex(math.cos(th), math.sin(th))
-    return mat2(e / a, -coin.beta / a, -coin.beta.conjugate() / a, e.conjugate() / a)
+    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = e / a
+    out[..., 0, 1] = -coin.beta / a
+    out[..., 1, 0] = -coin.beta.conjugate() / a
+    out[..., 1, 1] = e.conjugate() / a
+    return out
 
 
-def transfer_inverse(coin: Coin, lam: float) -> np.ndarray:
-    """Closed-form inverse of :func:`transfer_matrix`."""
-    th = lam - coin.delta
+def transfer_inverse(coin: Coin, lam) -> np.ndarray:
+    """Closed-form inverse of :func:`transfer_matrix`, batched the same way."""
+    e = _cis(lam - coin.delta)
     s = coin.alpha / abs(coin.alpha) ** 2
-    e = complex(math.cos(th), math.sin(th))
-    return mat2(s * e.conjugate(), s * coin.beta, s * coin.beta.conjugate(), s * e)
+    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = s * e.conjugate()
+    out[..., 0, 1] = s * coin.beta
+    out[..., 1, 0] = s * coin.beta.conjugate()
+    out[..., 1, 1] = s * e
+    return out
+
+
+def _cis(th):
+    """``exp(i*th)``; a single phase gives a Python complex.
+
+    Python's complex division rounds differently from numpy's, and
+    single-phase matrices build the eigenvectors, so they keep Python's.
+    """
+    e = np.exp(1j * th)
+    return complex(e) if np.ndim(e) == 0 else e
 
 
 def discriminant(coin: Coin, lam) -> float | np.ndarray:
@@ -117,30 +139,6 @@ def in_admissible_set(field: CoinField, lam: float) -> bool:
     )
 
 
-def _transfer_stack(coin: Coin, lams: np.ndarray) -> np.ndarray:
-    th = lams - coin.delta
-    e = np.exp(1j * th)
-    a = coin.alpha
-    out = np.empty(th.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = e / a
-    out[..., 0, 1] = -coin.beta / a
-    out[..., 1, 0] = -coin.beta.conjugate() / a
-    out[..., 1, 1] = np.conj(e) / a
-    return out
-
-
-def _inverse_stack(coin: Coin, lams: np.ndarray) -> np.ndarray:
-    th = lams - coin.delta
-    e = np.exp(1j * th)
-    s = coin.alpha / abs(coin.alpha) ** 2
-    out = np.empty(th.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = s * np.conj(e)
-    out[..., 0, 1] = s * coin.beta
-    out[..., 1, 0] = s * coin.beta.conjugate()
-    out[..., 1, 1] = s * e
-    return out
-
-
 def _core_products(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered transfer products through the core, batched over phases.
 
@@ -151,10 +149,10 @@ def _core_products(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.n
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), lams.shape + (2, 2))
     t_plus = eye
     for x in range(0, field.x_plus):
-        t_plus = _transfer_stack(field.coin(x), lams) @ t_plus
+        t_plus = transfer_matrix(field.coin(x), lams) @ t_plus
     t_minus = eye
     for x in range(-1, field.x_minus - 1, -1):
-        t_minus = _inverse_stack(field.coin(x), lams) @ t_minus
+        t_minus = transfer_inverse(field.coin(x), lams) @ t_minus
     return np.ascontiguousarray(t_plus), np.ascontiguousarray(t_minus)
 
 
@@ -162,19 +160,6 @@ def boundary_products(field: CoinField, lam: float) -> tuple[np.ndarray, np.ndar
     """The two ``(2, 2)`` core products at a single phase."""
     t_plus, t_minus = _core_products(field, np.array([float(lam)]))
     return t_plus[0], t_minus[0]
-
-
-def _kernel_stack(mats: np.ndarray) -> np.ndarray:
-    """Unit kernel vectors of rank-one 2x2 matrices, batched.
-
-    The row with the larger 1-norm supplies the constraint, so a vanishing
-    row never contaminates the result.
-    """
-    a, b = mats[..., 0, 0], mats[..., 0, 1]
-    c, d = mats[..., 1, 0], mats[..., 1, 1]
-    use_top = (np.abs(a) + np.abs(b)) >= (np.abs(c) + np.abs(d))
-    v = np.stack([np.where(use_top, b, d), np.where(use_top, -a, -c)], axis=-1)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _solve2(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -198,13 +183,13 @@ def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.n
     """
     lams = np.asarray(lams, dtype=np.float64)
     t_plus, t_minus = _core_products(field, lams)
-    shifted = _transfer_stack(field.left, lams)
+    shifted = transfer_matrix(field.left, lams)
     zeta_out = expanding_zeta(field.left, lams)
     shifted[..., 0, 0] -= zeta_out
     shifted[..., 1, 1] -= zeta_out
-    phi = _solve2(t_minus, _kernel_stack(shifted))
+    phi = _solve2(t_minus, kernel_vectors(shifted))
     phi = phi / np.linalg.norm(phi, axis=-1, keepdims=True)
-    landing = _transfer_stack(field.right, lams)
+    landing = transfer_matrix(field.right, lams)
     zeta_in = contracting_zeta(field.right, lams)
     landing[..., 0, 0] -= zeta_in
     landing[..., 1, 1] -= zeta_in
@@ -582,27 +567,17 @@ def is_strongly_trapped(eigs: Sequence[EigenPair]) -> bool:
     return False
 
 
-def admissible_arcs(field: CoinField, samples: int = 4096) -> tuple[tuple[float, float], ...]:
-    """Grid-resolution arcs ``(start, end)`` of the admissible phase set."""
-    lams = np.arange(samples) * (TWO_PI / samples)
-    ok = (discriminant(field.right, lams) > LAMBDA_TOL) & (
-        discriminant(field.left, lams) > LAMBDA_TOL
-    )
-    if not ok.any():
-        return ()
-    if ok.all():
-        return ((0.0, TWO_PI),)
-    arcs: list[list[float]] = []
-    h = TWO_PI / samples
-    for i, good in enumerate(ok):
-        if good and (i == 0 or not ok[i - 1]):
-            arcs.append([float(lams[i]), float(lams[i]) + h])
-        elif good:
-            arcs[-1][1] = float(lams[i]) + h
-    if len(arcs) > 1 and ok[0] and ok[-1]:  # merge across the seam
-        arcs[0][0] = arcs[-1][0] - TWO_PI
-        arcs.pop()
-    return tuple((a, b) for a, b in arcs)
+def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
+    """Arcs ``(start, end)`` of the admissible phase set, in closed form.
+
+    An arc across the 0/2*pi seam comes back as one arc with a negative
+    start.
+    """
+    arcs = _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left))
+    if len(arcs) > 1 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI:  # merge across the seam
+        start, _ = arcs.pop()
+        arcs[0] = (start - TWO_PI, arcs[0][1])
+    return tuple(arcs)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,13 @@ def test_eig2_defective_shear():
     assert abs(v1[1]) <= 1e-12
 
 
+def test_eig2_scalar_matrix_returns_e1():
+    # every vector is an eigenvector; the zero kernel matrix falls back to e1
+    z1, v1, z2, v2 = eig2(mat2(2.0, 0.0, 0.0, 2.0))
+    assert z1 == z2 == 2.0
+    assert np.array_equal(v1, [1.0, 0.0]) and np.array_equal(v2, [1.0, 0.0])
+
+
 def test_vec2_mat2_shapes():
     assert vec2(1, 2).shape == (2,)
     assert mat2(1, 2, 3, 4).shape == (2, 2)

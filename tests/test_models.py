@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qwtrap.algebra import TWO_PI, make_coin
+from qwtrap.figures import preset
 from qwtrap.models import (
     FAMILY_TRAPPING,
     MODEL_FUNCTIONS,
@@ -173,6 +174,18 @@ def test_model_report_accessors(closed_of):
     dist = rep.limit_window(-5, 5)
     assert dist.lo == -5 and dist.hi == 5
     assert dist.mass_at(0) == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+
+def test_reports_build_eigenvectors_only_on_first_use(monkeypatch):
+    def unavailable(field, lam):
+        raise AssertionError("eigenvector built")
+
+    monkeypatch.setattr("qwtrap.models.defect_closed_form", unavailable)
+    assert preset(1).sweep(points=16)
+    rep = preset(1).report()
+    assert rep.limit_window(-5, 5).mass_at(0) == pytest.approx(2.0 / 9.0, abs=1e-12)
+    with pytest.raises(AssertionError, match="eigenvector built"):
+        rep.eigenvector(0, 0)
 
 
 def test_limit_window_clamps_roundoff_negatives(closed_of):

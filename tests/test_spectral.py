@@ -64,6 +64,17 @@ def test_transfer_inverse_is_inverse(rng):
         assert float(np.max(np.abs(prod - np.eye(2)))) <= 1e-12
 
 
+def test_transfer_matrices_batch_over_phases(rng):
+    c = random_coin(rng)
+    lams = rng.uniform(0.0, TWO_PI, size=(3, 4))
+    for build in (transfer_matrix, transfer_inverse):
+        stack = build(c, lams)
+        assert stack.shape == (3, 4, 2, 2)
+        for idx in np.ndindex(lams.shape):
+            single = build(c, float(lams[idx]))
+            assert float(np.max(np.abs(stack[idx] - single))) <= 1e-15
+
+
 def test_transfer_determinant_identity(rng):
     # det T = conj(alpha) / alpha for every coin and phase
     for _ in range(50):
@@ -320,6 +331,16 @@ def test_admissible_arcs_hadamard():
     assert len(arcs) == 2
     measure = sum(e - s for s, e in arcs)
     assert measure == pytest.approx(math.pi, abs=0.01)
+
+
+def test_admissible_arcs_are_exact():
+    delta, half = 0.3, math.pi / 4.0
+    arcs = admissible_arcs(uniform_field(make_coin(R, R, delta)))
+    assert len(arcs) == 2
+    assert arcs[0][0] < 0.0  # the arc across the 0/2*pi seam stays whole
+    want = ((delta - half, delta + half), (delta + math.pi - half, delta + math.pi + half))
+    for got, exact in zip(arcs, want):
+        assert got == pytest.approx(exact, abs=1e-12)
 
 
 def test_found_phases_lie_in_arcs(spectral_of):
