@@ -51,9 +51,8 @@ from .spectral import (
     INDEPENDENCE_TOL,
     NoEigenvalueError,
     NotInAdmissibleSetError,
-    build_eigenvector,
+    analyze,
     find_eigenphases,
-    is_strongly_trapped,
     limit_distribution,
 )
 from .models import ConstraintError, DegeneracyError, ModelReport, MODEL_FUNCTIONS
@@ -325,10 +324,9 @@ def _cmd_eigen(cfg: RunConfig) -> int:
 
 def _cmd_limit(cfg: RunConfig) -> int:
     initial = WalkState.point(*cfg.psi)
-    phases = find_eigenphases(cfg.field, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
-    pairs = [build_eigenvector(cfg.field, lam) for lam in phases]
+    rep = analyze(cfg.field, cfg.grid_points, cfg.refine_tol)
     w = cfg.window
-    exact = limit_distribution(pairs, initial, window=(-w, w))
+    exact = limit_distribution(rep.eigenpairs, initial, window=(-w, w))
     if cfg.horizon is None:
         emit_distribution(exact, cfg.out, cfg.fmt)
         _maybe_svg(cfg, exact.sites().tolist(), exact.masses.tolist(), "time-averaged limit distribution")
@@ -348,9 +346,9 @@ def _cmd_limit(cfg: RunConfig) -> int:
 
 
 def _cmd_trap(cfg: RunConfig) -> int:
-    phases = find_eigenphases(cfg.field, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
-    pairs = [build_eigenvector(cfg.field, lam) for lam in phases]
-    verdict = is_strongly_trapped(pairs)
+    rep = analyze(cfg.field, cfg.grid_points, cfg.refine_tol)
+    pairs = rep.eigenpairs
+    verdict = rep.strongly_trapped
     origin_vals = np.array([p.vector().value(0) for p in pairs]).reshape(-1, 2)
     if len(pairs):
         svals = np.linalg.svd(origin_vals, compute_uv=False)
@@ -359,7 +357,7 @@ def _cmd_trap(cfg: RunConfig) -> int:
         svals, rank = np.zeros(0), 0
     doc = {
         "strongly_trapped": verdict,
-        "eigenphases": [float(p) for p in phases],
+        "eigenphases": [p.lam for p in pairs],
         "origin_rank": rank,
         "origin_singular_values": [float(s) for s in svals],
     }
@@ -394,8 +392,7 @@ def _model_coins(roles: dict, model_id: int) -> tuple:
     return minus, origin, plus
 
 
-def _report_doc(rep: ModelReport, window: int) -> dict:
-    prof = rep.limit_window(-window, window)
+def _report_doc(rep: ModelReport, prof: Distribution) -> dict:
     return {
         "model": rep.model_id,
         "exists": rep.exists,
@@ -424,7 +421,7 @@ def _cmd_model(cfg: RunConfig) -> int:
     rep = MODEL_FUNCTIONS[cfg.fig_id](*coin_args, cfg.psi)
     prof = rep.limit_window(-cfg.window, cfg.window)
     if cfg.fmt == "json":
-        _write_text(cfg.out, json.dumps(_report_doc(rep, cfg.window), indent=1) + "\n")
+        _write_text(cfg.out, json.dumps(_report_doc(rep, prof), indent=1) + "\n")
     else:
         emit_distribution(prof, cfg.out, "csv")
     _maybe_svg(cfg, prof.sites().tolist(), prof.masses.tolist(), f"family {rep.model_id} limit distribution")

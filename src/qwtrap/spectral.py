@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .walk import CoinField, Distribution, WalkState
 LAMBDA_TOL = 1e-12
 #: A refined residual below this certifies an eigenphase.
 RESIDUAL_ACCEPT = 1e-9
-#: Grid minima below this are handed to the refiner.
-SCAN_THRESHOLD = 1e-3
 #: Refined phases closer than this are considered the same root.
 DEDUPE_TOL = 1e-8
 #: Relative 2x2 minor above this certifies linearly independent origin values.
@@ -131,12 +129,15 @@ def expanding_zeta(coin: Coin, lams):
     return (c + np.sign(c) * root) / coin.alpha
 
 
-def in_admissible_set(field: CoinField, lam: float) -> bool:
-    """True when both asymptotic transfer matrices are hyperbolic at ``lam``."""
-    return bool(
-        discriminant(field.right, lam) > LAMBDA_TOL
-        and discriminant(field.left, lam) > LAMBDA_TOL
+def in_admissible_set(field: CoinField, lam):
+    """True when both asymptotic transfer matrices are hyperbolic at ``lam``.
+
+    An array of phases gives a boolean array of the same shape.
+    """
+    ok = (discriminant(field.right, lam) > LAMBDA_TOL) & (
+        discriminant(field.left, lam) > LAMBDA_TOL
     )
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 def _core_products(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,28 +206,39 @@ def eigen_residual(field: CoinField, lam: float) -> float:
     return float(res[0])
 
 
-def _residual_or_inf(field: CoinField, lam: float) -> float:
-    lam = lam % TWO_PI
-    if not in_admissible_set(field, lam):
-        return math.inf
-    res, _ = _residual_core(field, np.array([lam]))
-    return float(res[0])
+def _residual_or_inf(field: CoinField, lams: np.ndarray) -> np.ndarray:
+    """Residuals at phases taken mod ``2*pi``; ``inf`` off the admissible set."""
+    lams = np.asarray(lams, dtype=np.float64) % TWO_PI
+    out = np.full(lams.shape, np.inf)
+    ok = in_admissible_set(field, lams)
+    if ok.any():
+        out[ok], _ = _residual_core(field, lams[ok])
+    return out
 
 
-def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Golden-section minimization of a unimodal function on ``[a, b]``."""
+def _golden_min(
+    field: CoinField, lo: np.ndarray, hi: np.ndarray, tol: float
+) -> np.ndarray:
+    """Golden-section minimization of the residual on every bracket at once.
+
+    Each bracket ``[lo[k], hi[k]]`` follows the scalar iteration step for
+    step and stops once its width is at most ``tol``; returns the midpoints.
+    """
+    a, b = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    fc, fd = _residual_or_inf(field, c), _residual_or_inf(field, d)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        left = fc[live] <= fd[live]
+        i, j = live[left], live[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - _INVPHI * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + _INVPHI * (b[j] - a[j])
+        f = _residual_or_inf(field, np.concatenate((c[i], d[j])))
+        fc[i], fd[j] = f[: i.size], f[i.size :]
+        live = live[b[live] - a[live] > tol]
     return 0.5 * (a + b)
 
 
@@ -275,58 +287,31 @@ def find_eigenphases(
 ) -> list[float]:
     """All eigenphases in ``[0, 2*pi)``, sorted ascending.
 
-    Scans the residual over the admissible set on a uniform grid, refines
-    every local minimum below the scan threshold by golden-section search,
-    and keeps the refined phases whose residual certifies an eigenphase.
-    The admissible arcs are also enumerated in closed form and each receives
-    a guaranteed number of extra samples, so arcs narrower than the grid
-    spacing (near-threshold parameters) cannot be skipped.
+    Samples the residual once over each closed-form admissible arc, at
+    spacing ``2*pi / grid_points`` with 17 to 4001 samples per arc, so arcs
+    narrower than the spacing are still seen.  Every local minimum is
+    bracketed by its neighbours (the arc ends at the edges), all brackets
+    are refined together by golden-section search to width ``refine_tol``,
+    and the refined phases whose residual certifies an eigenphase are kept.
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
     h = TWO_PI / grid_points
-    lams = np.arange(grid_points) * h
-    mask = (discriminant(field.right, lams) > LAMBDA_TOL) & (
-        discriminant(field.left, lams) > LAMBDA_TOL
-    )
-    res = np.full(grid_points, np.inf)
-    if mask.any():
-        res[mask], _ = _residual_core(field, lams[mask])
-    neighbors_ok = (res <= np.roll(res, 1)) & (res <= np.roll(res, -1))
-    uniform = np.nonzero(mask & (res < SCAN_THRESHOLD) & neighbors_ok)[0]
-    # (bracket_lo, bracket_hi) seeds for refinement
-    seeds: list[tuple[float, float]] = [
-        (float(lams[i]) - h, float(lams[i]) + h) for i in uniform
-    ]
-    arcs = _intersect_arcs(
-        _hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left)
-    )
-    for s, e in arcs:
+    lo, hi = [np.empty(0)], [np.empty(0)]
+    for s, e in _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left)):
         n = max(17, min(4001, 2 * int((e - s) / h) + 1))
         pts = s + (e - s) * (np.arange(n) + 0.5) / n
-        ok = (discriminant(field.right, pts) > LAMBDA_TOL) & (
-            discriminant(field.left, pts) > LAMBDA_TOL
-        )
-        r_arc = np.full(n, np.inf)
-        if ok.any():
-            r_arc[ok], _ = _residual_core(field, pts[ok])
-        for i in range(n):
-            if not ok[i] or not np.isfinite(r_arc[i]):
-                continue
-            left_ok = i == 0 or r_arc[i] <= r_arc[i - 1]
-            right_ok = i == n - 1 or r_arc[i] <= r_arc[i + 1]
-            if left_ok and right_ok:
-                lo = pts[i - 1] if i > 0 else s
-                hi = pts[i + 1] if i < n - 1 else e
-                seeds.append((float(lo), float(hi)))
+        res = np.pad(_residual_or_inf(field, pts), 1, constant_values=np.inf)
+        mid = res[1:-1]
+        k = np.flatnonzero(np.isfinite(mid) & (mid <= res[:-2]) & (mid <= res[2:]))
+        ends = np.concatenate(([s], pts, [e]))
+        lo.append(ends[k])
+        hi.append(ends[k + 2])
+    refined = _golden_min(field, np.concatenate(lo), np.concatenate(hi), refine_tol)
     found: list[tuple[float, float]] = []
-    for lo, hi in seeds:
-        refined = _golden_min(
-            lambda x: _residual_or_inf(field, x), lo, hi, refine_tol
-        )
-        r = _residual_or_inf(field, refined)
+    for x, r in zip(refined.tolist(), _residual_or_inf(field, refined).tolist()):
         if r < RESIDUAL_ACCEPT:
-            lam = refined % TWO_PI
+            lam = x % TWO_PI
             if lam > TWO_PI - DEDUPE_TOL:  # canonicalize roots at the seam
                 lam -= TWO_PI
             found.append((lam, r))
@@ -482,15 +467,13 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     The global phase is fixed by making the largest-modulus component of the
     matching generator real and positive.
     """
-    try:
-        res = eigen_residual(field, lam)
-    except NotInAdmissibleSetError as exc:
-        raise NoEigenvalueError(f"phase {lam!r} is not admissible") from exc
-    if res >= RESIDUAL_ACCEPT:
-        raise NoEigenvalueError(f"residual {res:.3e} at phase {lam!r} is too large")
     lam = float(lam) % TWO_PI
-    _, phi_arr = _residual_core(field, np.array([lam]))
-    phi = phi_arr[0]
+    if not in_admissible_set(field, lam):
+        raise NoEigenvalueError(f"phase {lam!r} is not admissible")
+    res, phi = _residual_core(field, np.array([lam]))
+    if res[0] >= RESIDUAL_ACCEPT:
+        raise NoEigenvalueError(f"residual {res[0]:.3e} at phase {lam!r} is too large")
+    phi = phi[0]
     k = int(np.argmax(np.abs(phi)))
     phi = phi * (phi[k].conjugate() / abs(phi[k]))
     zeta_in = complex(contracting_zeta(field.right, lam))

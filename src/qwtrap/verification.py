@@ -21,10 +21,9 @@ from typing import IO, Iterable, Sequence
 
 from .walk import CoinField, WalkState, time_averaged
 from .spectral import (
-    build_eigenvector,
+    analyze,
     eigen_residual,
-    find_eigenphases,
-    is_strongly_trapped,
+    find_eigenphases,  # noqa: F401  (bench/test_bench.py reaches the solver through this module)
     limit_distribution,
     trapped_mass,
     DEFAULT_GRID,
@@ -104,8 +103,7 @@ def check_limit_vs_simulation(
     covers the escaping (zero trapped mass) cases.
     """
     initial = WalkState.point(*psi)
-    phases = find_eigenphases(field, grid_points=grid_points)
-    pairs = [build_eigenvector(field, lam) for lam in phases]
+    pairs = analyze(field, grid_points).eigenpairs
     exact = limit_distribution(pairs, initial, window=(-window, window))
     empirical = time_averaged(initial, field, horizon)
     metric = max(
@@ -118,12 +116,7 @@ def check_trapping_table(grid_points: int = DEFAULT_GRID) -> tuple[CheckReport, 
     """Origin-rank trapping verdicts against the expected classification."""
     out = []
     for preset in PRESETS:
-        field = preset.field()
-        pairs = [
-            build_eigenvector(field, lam)
-            for lam in find_eigenphases(field, grid_points=grid_points)
-        ]
-        got = is_strongly_trapped(pairs)
+        got = analyze(preset.field(), grid_points).strongly_trapped
         metric = 0.0 if got == preset.strongly_trapped else 1.0
         out.append(CheckReport("trapping_table", f"fig{preset.fig_id}", metric, 0.0))
     return tuple(out)
@@ -142,7 +135,8 @@ def run_all(
         rep = preset.report()
         reports.extend(check_eigen_residuals(field, rep.eigenphases, label))
 
-        found = find_eigenphases(field, grid_points=grid_points)
+        pairs = analyze(field, grid_points).eigenpairs
+        found = [p.lam for p in pairs]
         if len(found) == len(rep.eigenphases):
             gap = max(
                 (abs(a - b) for a, b in zip(found, sorted(rep.eigenphases))),
@@ -152,7 +146,6 @@ def run_all(
             gap = math.inf
         reports.append(CheckReport("phase_match", label, gap, PHASE_MATCH_THRESHOLD))
 
-        pairs = [build_eigenvector(field, lam) for lam in found]
         initial = WalkState.point(*preset.psi)
         exact = limit_distribution(pairs, initial, window=(-window, window))
         tail = sum(

@@ -12,6 +12,7 @@ import pytest
 
 import qwtrap
 from qwtrap.cli import run
+from qwtrap.models import ModelReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 R = 1.0 / math.sqrt(2.0)
@@ -147,6 +148,21 @@ def test_model_json_report(capsys):
     origin = next(e for e in doc["limit_distribution"] if e["x"] == 0)
     assert abs(origin["mass"] - 2.0 / 9.0) <= 1e-10
     assert all(abs(c - 1.0) <= 1e-8 for c in doc["norm_corrections"])
+
+
+def test_model_json_builds_the_limit_profile_once(capsys, monkeypatch):
+    calls = []
+    original = ModelReport.limit_window
+
+    def counting(self, lo, hi):
+        calls.append((lo, hi))
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(ModelReport, "limit_window", counting)
+    code, out, _ = invoke(capsys, "model", "--id", "1", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["limit_distribution"]) == 41
+    assert calls == [(-20, 20)]
 
 
 def test_model_ids_cover_families(capsys):
