@@ -36,7 +36,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -84,38 +84,60 @@ FAMILY_TRAPPING: Mapping[int, TrappingClass] = {
 }
 
 
+def _no_trapped_mass(q1: complex, q2: complex, x: int) -> float:
+    return 0.0
+
+
 @dataclass(frozen=True)
 class ModelReport:
     """Closed-form spectral data for one family at concrete parameters.
 
-    ``eigenphases`` and ``branch_of`` are index-aligned, and so are
+    A family sets only what it computes: its ``scalars`` always and, when
+    its point spectrum is nonempty, the ``eigenphases`` with index-aligned
+    ``branch_of`` labels, the state's ``coefficients`` and
+    ``nu_bar(psi1, psi2, x)``, the closed-form time-averaged limit
+    distribution for a unit state at the origin (zero by default).
+    ``branch_plus``/``branch_minus`` are the per-branch existence
+    indicators of families 2 and 5, ``None`` for the other families.
+    ``exists`` is derived as "has an eigenphase"; ``trapping_class`` is
+    ``FAMILY_TRAPPING[model_id]``, with ``CONDITIONAL`` resolved to
+    strongly trapped iff both branches exist, and is never strongly
+    trapped without an eigenphase.
+
     ``closed_forms``, ``vectors``, ``normalizers`` and
-    ``norm_corrections``.  Those four are built on first access from
-    :func:`defect_closed_form` at each eigenphase, so a report whose
+    ``norm_corrections`` are index-aligned with ``eigenphases`` and built
+    on first access from :func:`defect_closed_form`, so a report whose
     caller reads only the phases never builds a vector.  ``vectors`` hold
     unit eigenvectors (numerically renormalized); ``normalizers`` are the
     closed-form normalizers ``DefectEigenForm.normalizer``;
     ``norm_corrections`` are the norms those normalizers produced before
     renormalization, expected to be 1 within 1e-8.
-    ``nu_bar(psi1, psi2, x)`` evaluates the closed-form time-averaged limit
-    distribution for a unit state at the origin.
-    ``branch_plus``/``branch_minus`` are the per-branch existence
-    indicators for the families that split into two branches, ``None``
-    where the family has a single existence condition.
     """
 
     model_id: int
     field: CoinField
     psi: tuple[complex, complex]
-    exists: bool
-    branch_plus: bool | None
-    branch_minus: bool | None
-    eigenphases: tuple[float, ...]
-    branch_of: tuple[str, ...]
     scalars: Mapping[str, float]
-    coefficients: Mapping[str, float]
-    nu_bar: Callable[[complex, complex, int], float] = dc_field(repr=False, compare=False)
-    trapping_class: TrappingClass = TrappingClass.NOT_STRONGLY_TRAPPED
+    eigenphases: tuple[float, ...] = ()
+    branch_of: tuple[str, ...] = ()
+    coefficients: Mapping[str, float] = dc_field(default_factory=dict)
+    nu_bar: Callable[[complex, complex, int], float] = dc_field(
+        default=_no_trapped_mass, repr=False, compare=False
+    )
+    branch_plus: bool | None = None
+    branch_minus: bool | None = None
+
+    @property
+    def exists(self) -> bool:
+        return bool(self.eigenphases)
+
+    @property
+    def trapping_class(self) -> TrappingClass:
+        verdict = FAMILY_TRAPPING[self.model_id]
+        if verdict is TrappingClass.CONDITIONAL:
+            both = self.branch_plus and self.branch_minus
+            verdict = TrappingClass.STRONGLY_TRAPPED if both else TrappingClass.NOT_STRONGLY_TRAPPED
+        return verdict if self.exists else TrappingClass.NOT_STRONGLY_TRAPPED
 
     @functools.cached_property
     def closed_forms(self) -> tuple[DefectEigenForm, ...]:
@@ -170,27 +192,41 @@ def _holds_strictly(margin: float) -> bool:
     return margin > BOUNDARY_TOL
 
 
-def _empty_report(model_id: int, field: CoinField, psi, scalars, branch_plus=None, branch_minus=None) -> ModelReport:
-    return ModelReport(
-        model_id=model_id,
-        field=field,
-        psi=psi,
-        exists=False,
-        branch_plus=branch_plus,
-        branch_minus=branch_minus,
-        eigenphases=(),
-        branch_of=(),
-        scalars=scalars,
-        coefficients={},
-        nu_bar=lambda q1, q2, x: 0.0,
-        trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
-    )
+_BRANCHES = ((1.0, "plus"), (-1.0, "minus"))
 
 
 def _phase(unit: complex, sign: float) -> float:
     lam = cmath.phase(sign * unit) % TWO_PI
     # same seam convention as the grid solver: phases at 2*pi read as 0
     return 0.0 if lam > TWO_PI - DEDUPE_TOL else lam
+
+
+def _pm_phases(branches: Iterable[tuple[str, complex]]) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """Eigenphases ``+unit`` and ``-unit`` of each ``(label, unit)`` branch, with their labels."""
+    phases, labels = [], []
+    for label, unit in branches:
+        phases += [_phase(unit, 1.0), _phase(unit, -1.0)]
+        labels += [label, label]
+    return tuple(phases), tuple(labels)
+
+
+def _two_branch_nu_bar(coef, live, prefactor, amps, aa: float):
+    """Limit distribution summed over the live branches s of families 2 and 5.
+
+    Branch s contributes ``coef(q1, q2, s)`` at the origin and
+    ``coef * prefactor[s] / |alpha|^2 * (|alpha|^2 / amps[s])^|x|`` off it.
+    """
+
+    def nu_bar(q1: complex, q2: complex, x: int) -> float:
+        tot = 0.0
+        for s in (1.0, -1.0):
+            if not live[s]:
+                continue
+            prof = 1.0 if x == 0 else prefactor[s] / aa ** 2 * (aa ** 2 / amps[s]) ** abs(x)
+            tot += coef(q1, q2, s) * prof
+        return tot
+
+    return nu_bar
 
 
 def model1(common: Coin, origin: Coin, psi) -> ModelReport:
@@ -212,17 +248,13 @@ def model1(common: Coin, origin: Coin, psi) -> ModelReport:
     K = abs(b) ** 2 - re ** 2
     scalars = {"A": A, "B": B, "K": K}
     if not _holds_strictly(B):
-        return _empty_report(1, field, (p1, p2), scalars)
+        return ModelReport(1, field, (p1, p2), scalars)
     if K <= BOUNDARY_TOL:
         raise DegeneracyError("family 1: K = 0 collapses the two branch phases")
     rK = math.sqrt(K)
     sAB = math.sqrt(A + B)
     eid = cmath.exp(1j * dlt)
-    phases, labels = [], []
-    for s, label in ((1.0, "plus"), (-1.0, "minus")):
-        eig_unit = (A + 1j * s * rK) / sAB * eid
-        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
-        labels += [label, label]
+    phases, labels = _pm_phases((label, (A + 1j * s * rK) / sAB * eid) for s, label in _BRANCHES)
 
     pref = 2.0 * (B / (A + B)) ** 2
     ratio = abs(a) ** 2 / (A + B)
@@ -239,20 +271,8 @@ def model1(common: Coin, origin: Coin, psi) -> ModelReport:
         side = 1 if x > 0 else -1
         return pref * A * coef(q1, q2, side) / (abs(a) ** 2 * K) * ratio ** abs(x)
 
-    return ModelReport(
-        model_id=1,
-        field=field,
-        psi=(p1, p2),
-        exists=True,
-        branch_plus=None,
-        branch_minus=None,
-        eigenphases=tuple(phases),
-        branch_of=tuple(labels),
-        scalars=scalars,
-        coefficients={"C_plus": coef(p1, p2, 1), "C_minus": coef(p1, p2, -1)},
-        nu_bar=nu_bar,
-        trapping_class=TrappingClass.STRONGLY_TRAPPED,
-    )
+    coefficients = {"C_plus": coef(p1, p2, 1), "C_minus": coef(p1, p2, -1)}
+    return ModelReport(1, field, (p1, p2), scalars, phases, labels, coefficients, nu_bar)
 
 
 def model2(common: Coin, origin: Coin, psi) -> ModelReport:
@@ -281,16 +301,13 @@ def model2(common: Coin, origin: Coin, psi) -> ModelReport:
         "A_minus": amps[-1.0],
     }
     if not any(live.values()):
-        return _empty_report(2, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
+        return ModelReport(2, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
 
-    phases, labels = [], []
-    for s, label in ((1.0, "plus"), (-1.0, "minus")):
-        if not live[s]:
-            continue
+    def eig_unit(s: float) -> complex:
         num = cmath.exp(1j * dlt) - bb * (bb + 1j * s * aa) * cmath.exp(1j * dlo)
-        eig_unit = num / abs(num)
-        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
-        labels += [label, label]
+        return num / abs(num)
+
+    phases, labels = _pm_phases((label, eig_unit(s)) for s, label in _BRANCHES if live[s])
 
     def coef(q1: complex, q2: complex, s: float) -> float:
         if not live[s]:
@@ -299,30 +316,9 @@ def model2(common: Coin, origin: Coin, psi) -> ModelReport:
         g = gammas[s]
         return bb * (bb - g) ** 2 * (aa * bb + 2.0 * s * imx) / (aa * amps[s] ** 2)
 
-    def nu_bar(q1: complex, q2: complex, x: int) -> float:
-        tot = 0.0
-        for s in (1.0, -1.0):
-            if not live[s]:
-                continue
-            prof = 1.0 if x == 0 else (1.0 - bb * gammas[s]) / aa ** 2 * (aa ** 2 / amps[s]) ** abs(x)
-            tot += coef(q1, q2, s) * prof
-        return tot
-
-    both = live[1.0] and live[-1.0]
-    return ModelReport(
-        model_id=2,
-        field=field,
-        psi=(p1, p2),
-        exists=True,
-        branch_plus=live[1.0],
-        branch_minus=live[-1.0],
-        eigenphases=tuple(phases),
-        branch_of=tuple(labels),
-        scalars=scalars,
-        coefficients={"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)},
-        nu_bar=nu_bar,
-        trapping_class=TrappingClass.STRONGLY_TRAPPED if both else TrappingClass.NOT_STRONGLY_TRAPPED,
-    )
+    coefficients = {"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)}
+    nu_bar = _two_branch_nu_bar(coef, live, {s: 1.0 - bb * g for s, g in gammas.items()}, amps, aa)
+    return ModelReport(2, field, (p1, p2), scalars, phases, labels, coefficients, nu_bar, live[1.0], live[-1.0])
 
 
 def model3(minus: Coin, plus: Coin, psi) -> ModelReport:
@@ -350,14 +346,13 @@ def model3(minus: Coin, plus: Coin, psi) -> ModelReport:
     K = (cd - bbp * bbm - aap * aam) * (cd - bbp * bbm + aap * aam)
     scalars = {"P": P, "M": M, "K": K}
     if not _holds_strictly(bbp * bbm - aap * aam - cd):
-        return _empty_report(3, field, (p1, p2), scalars)
+        return ModelReport(3, field, (p1, p2), scalars)
     den = bbp * M - bbm * P
     if den <= BOUNDARY_TOL:
         raise DegeneracyError("family 3: |beta_p| M - |beta_m| P = 0 makes the limit distribution singular")
     rK = math.sqrt(K)
     num = bbp * cmath.exp(1j * dm) - bbm * cmath.exp(1j * dp)
-    eig_unit = num / abs(num)
-    phases, labels = [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)], ["pair", "pair"]
+    phases, labels = _pm_phases([("pair", num / abs(num))])
     # squared moduli of the transfer eigenvalues on each side
     zin2 = abs((P + bbp * rK) / (ap * math.sqrt(den))) ** 2
     zout2 = abs((M + bbm * rK) / (am * math.sqrt(den))) ** 2
@@ -377,20 +372,7 @@ def model3(minus: Coin, plus: Coin, psi) -> ModelReport:
             return C * P * (P + bbp * rK) / aap ** 2 * zin2 ** x
         return C * M * (M + bbm * rK) / aam ** 2 * zout2 ** x
 
-    return ModelReport(
-        model_id=3,
-        field=field,
-        psi=(p1, p2),
-        exists=True,
-        branch_plus=None,
-        branch_minus=None,
-        eigenphases=tuple(phases),
-        branch_of=tuple(labels),
-        scalars=scalars,
-        coefficients={"C": coef(p1, p2)},
-        nu_bar=nu_bar,
-        trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
-    )
+    return ModelReport(3, field, (p1, p2), scalars, phases, labels, {"C": coef(p1, p2)}, nu_bar)
 
 
 def model4(minus: Coin, plus: Coin, psi) -> ModelReport:
@@ -414,11 +396,10 @@ def model4(minus: Coin, plus: Coin, psi) -> ModelReport:
     K = (re + aap * aam - 1.0) * (re - aap * aam - 1.0)
     scalars = {"P": P, "M": M, "K": K}
     if not _holds_strictly(P * M):
-        return _empty_report(4, field, (p1, p2), scalars)
+        return ModelReport(4, field, (p1, p2), scalars)
     rK = math.sqrt(K)
     PM = P + M  # equals |beta_p - beta_m|^2 and K + im^2
-    eig_unit = cmath.exp(1j * dlt) * (rK + 1j * im) / abs(bp - bm)
-    phases, labels = [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)], ["pair", "pair"]
+    phases, labels = _pm_phases([("pair", cmath.exp(1j * dlt) * (rK + 1j * im) / abs(bp - bm))])
     # squared moduli of the transfer eigenvalues on each side
     zin2 = abs((-P + rK) / (ap * math.sqrt(PM))) ** 2
     zout2 = abs((M + rK) / (am * math.sqrt(PM))) ** 2
@@ -437,20 +418,7 @@ def model4(minus: Coin, plus: Coin, psi) -> ModelReport:
             return C * (rK - P) / aap ** 2 * zin2 ** x
         return C * (M + rK) / aam ** 2 * zout2 ** x
 
-    return ModelReport(
-        model_id=4,
-        field=field,
-        psi=(p1, p2),
-        exists=True,
-        branch_plus=None,
-        branch_minus=None,
-        eigenphases=tuple(phases),
-        branch_of=tuple(labels),
-        scalars=scalars,
-        coefficients={"C": coef(p1, p2)},
-        nu_bar=nu_bar,
-        trapping_class=TrappingClass.NOT_STRONGLY_TRAPPED,
-    )
+    return ModelReport(4, field, (p1, p2), scalars, phases, labels, {"C": coef(p1, p2)}, nu_bar)
 
 
 def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
@@ -482,16 +450,13 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
     amps = {s: 1.0 + 2.0 * s * bb * sg + bb ** 2 for s in (1.0, -1.0)}
     scalars = {"gamma": gam, "sin_margin": sg, "A_plus": amps[1.0], "A_minus": amps[-1.0]}
     if not any(live.values()):
-        return _empty_report(5, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
+        return ModelReport(5, field, (p1, p2), scalars, branch_plus=False, branch_minus=False)
 
-    phases, labels = [], []
-    for s, label in ((1.0, "plus"), (-1.0, "minus")):
-        if not live[s]:
-            continue
+    def eig_unit(s: float) -> complex:
         num = cmath.exp(1j * dlt) + 1j * s * bb * cmath.exp(1j * gam)
-        eig_unit = num / abs(num)
-        phases += [_phase(eig_unit, 1.0), _phase(eig_unit, -1.0)]
-        labels += [label, label]
+        return num / abs(num)
+
+    phases, labels = _pm_phases((label, eig_unit(s)) for s, label in _BRANCHES if live[s])
 
     def coef(q1: complex, q2: complex, s: float) -> float:
         if not live[s]:
@@ -499,30 +464,9 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
         imx = (cmath.exp(1j * (dlo - gam)) * ao * bm.conjugate() * q1 * q2.conjugate()).imag
         return (bb + s * sg) ** 2 * (bb ** 2 - 2.0 * s * bb * imx) / amps[s] ** 2
 
-    def nu_bar(q1: complex, q2: complex, x: int) -> float:
-        tot = 0.0
-        for s in (1.0, -1.0):
-            if not live[s]:
-                continue
-            prof = 1.0 if x == 0 else (1.0 + s * bb * sg) / aa ** 2 * (aa ** 2 / amps[s]) ** abs(x)
-            tot += coef(q1, q2, s) * prof
-        return tot
-
-    both = live[1.0] and live[-1.0]
-    return ModelReport(
-        model_id=5,
-        field=field,
-        psi=(p1, p2),
-        exists=True,
-        branch_plus=live[1.0],
-        branch_minus=live[-1.0],
-        eigenphases=tuple(phases),
-        branch_of=tuple(labels),
-        scalars=scalars,
-        coefficients={"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)},
-        nu_bar=nu_bar,
-        trapping_class=TrappingClass.STRONGLY_TRAPPED if both else TrappingClass.NOT_STRONGLY_TRAPPED,
-    )
+    coefficients = {"C_plus": coef(p1, p2, 1.0), "C_minus": coef(p1, p2, -1.0)}
+    nu_bar = _two_branch_nu_bar(coef, live, {s: 1.0 + s * bb * sg for s in (1.0, -1.0)}, amps, aa)
+    return ModelReport(5, field, (p1, p2), scalars, phases, labels, coefficients, nu_bar, live[1.0], live[-1.0])
 
 
 MODEL_FUNCTIONS = {1: model1, 2: model2, 3: model3, 4: model4, 5: model5}
@@ -548,9 +492,6 @@ class DefectEigenForm:
     vector: GeometricVector
     norm_correction: float
     origin_coin: Coin
-
-    def eigenvector(self, x: int) -> np.ndarray:
-        return self.vector.value(x)
 
     def norm_sq(self, x: int) -> float:
         N = self.normalizer

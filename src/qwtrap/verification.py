@@ -27,9 +27,10 @@ from .spectral import (
     limit_distribution,
     trapped_mass,
     DEFAULT_GRID,
+    EigenPair,
     NotInAdmissibleSetError,
 )
-from .figures import PRESETS
+from .figures import PRESETS, FigurePreset
 
 RESIDUAL_THRESHOLD = 1e-9
 PHASE_MATCH_THRESHOLD = 1e-8
@@ -102,8 +103,20 @@ def check_limit_vs_simulation(
     empty point spectrum makes it identically zero, so the check also
     covers the escaping (zero trapped mass) cases.
     """
-    initial = WalkState.point(*psi)
     pairs = analyze(field, grid_points).eigenpairs
+    return _limit_gap(field, psi, pairs, horizon, window, threshold, label)
+
+
+def _limit_gap(
+    field: CoinField,
+    psi: tuple[complex, complex],
+    pairs: Sequence[EigenPair],
+    horizon: int,
+    window: int,
+    threshold: float,
+    label: str,
+) -> CheckReport:
+    initial = WalkState.point(*psi)
     exact = limit_distribution(pairs, initial, window=(-window, window))
     empirical = time_averaged(initial, field, horizon)
     metric = max(
@@ -114,12 +127,15 @@ def check_limit_vs_simulation(
 
 def check_trapping_table(grid_points: int = DEFAULT_GRID) -> tuple[CheckReport, ...]:
     """Origin-rank trapping verdicts against the expected classification."""
-    out = []
-    for preset in PRESETS:
-        got = analyze(preset.field(), grid_points).strongly_trapped
-        metric = 0.0 if got == preset.strongly_trapped else 1.0
-        out.append(CheckReport("trapping_table", f"fig{preset.fig_id}", metric, 0.0))
-    return tuple(out)
+    return tuple(
+        _trapping_row(preset, analyze(preset.field(), grid_points).strongly_trapped)
+        for preset in PRESETS
+    )
+
+
+def _trapping_row(preset: FigurePreset, strongly_trapped: bool) -> CheckReport:
+    metric = 0.0 if strongly_trapped == preset.strongly_trapped else 1.0
+    return CheckReport("trapping_table", f"fig{preset.fig_id}", metric, 0.0)
 
 
 def run_all(
@@ -135,7 +151,8 @@ def run_all(
         rep = preset.report()
         reports.extend(check_eigen_residuals(field, rep.eigenphases, label))
 
-        pairs = analyze(field, grid_points).eigenpairs
+        spectrum = analyze(field, grid_points)
+        pairs = spectrum.eigenpairs
         found = [p.lam for p in pairs]
         if len(found) == len(rep.eigenphases):
             gap = max(
@@ -159,14 +176,7 @@ def run_all(
         )
 
         reports.append(
-            check_limit_vs_simulation(
-                field,
-                preset.psi,
-                horizon=horizon,
-                window=window,
-                label=label,
-                grid_points=grid_points,
-            )
+            _limit_gap(field, preset.psi, pairs, horizon, window, LIMIT_VS_SIM_THRESHOLD, label)
         )
-    reports.extend(check_trapping_table(grid_points=grid_points))
+        reports.append(_trapping_row(preset, spectrum.strongly_trapped))
     return tuple(sorted(reports, key=lambda r: (r.name, r.label)))

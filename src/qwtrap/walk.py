@@ -10,6 +10,7 @@ allocates it once up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -149,12 +150,7 @@ def _coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
 
 def step(state: WalkState, field: CoinField) -> WalkState:
     """One application of ``U = S C``; the window grows by one site per side."""
-    mixed = np.einsum("xij,xj->xi", _coin_stack(field, state.lo, state.hi), state.amps)
-    n = len(mixed)
-    out = np.zeros((n + 2, 2), dtype=np.complex128)
-    out[:n, 0] = mixed[:, 0]  # left-movers land one site lower
-    out[2:, 1] = mixed[:, 1]  # right-movers land one site higher
-    return WalkState(state.lo - 1, out)
+    return WalkState(state.lo - 1, evolve(state, field, 1).amps[1:-1])
 
 
 def _shift_fixed(mixed: np.ndarray) -> np.ndarray:
@@ -175,17 +171,25 @@ def _embed(initial: WalkState, lo: int, hi: int) -> np.ndarray:
     return amps
 
 
+def _propagate(initial: WalkState, field: CoinField, t: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(lo, amps)`` on the light-cone window of ``t`` steps after 0, 1, .., ``t`` steps."""
+    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    amps = _embed(initial, lo, hi)
+    coins = _coin_stack(field, lo, hi)
+    yield lo, amps
+    for _ in range(t):
+        amps = _shift_fixed(np.einsum("xij,xj->xi", coins, amps))
+        yield lo, amps
+
+
 def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
     """``t``-fold composition of :func:`step` on a preallocated light-cone window."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return initial
-    lo, hi = window_for(t, field, (initial.lo, initial.hi))
-    amps = _embed(initial, lo, hi)
-    coins = _coin_stack(field, lo, hi)
-    for _ in range(t):
-        amps = _shift_fixed(np.einsum("xij,xj->xi", coins, amps))
+    for lo, amps in _propagate(initial, field, t):
+        pass
     return WalkState(lo, amps)
 
 
@@ -225,12 +229,7 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
     """Average of the site distributions over times ``0 .. horizon - 1``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = window_for(horizon - 1, field, (initial.lo, initial.hi))
-    amps = _embed(initial, lo, hi)
-    coins = _coin_stack(field, lo, hi)
     acc = _PairwiseSum()
-    acc.add(np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
-    for _ in range(horizon - 1):
-        amps = _shift_fixed(np.einsum("xij,xj->xi", coins, amps))
+    for lo, amps in _propagate(initial, field, horizon - 1):
         acc.add(np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
     return Distribution(lo, acc.value() / horizon)

@@ -23,6 +23,7 @@ from qwtrap.models import (
 )
 from qwtrap.spectral import (
     NoEigenvalueError,
+    analyze,
     build_eigenvector,
     find_eigenphases,
     is_strongly_trapped,
@@ -348,6 +349,48 @@ def test_random_parameters_all_families():
         assert_report_consistent(
             model5(rand_coin(rng, dlt, bb=bb), origin, rand_coin(rng, dlt, bb=bb), rand_psi(rng))
         )
+
+
+def test_derived_trapping_class_matches_origin_rank_route():
+    # the verdict a report derives from FAMILY_TRAPPING and its branches,
+    # against the solver's origin-rank test on the same field
+    rng = np.random.default_rng(53)
+
+    def coin(delta, aa=None, arg_b=None):
+        aa = float(rng.uniform(0.2, 0.9)) if aa is None else aa
+        return rand_coin(rng, delta, bb=math.sqrt(1.0 - aa**2), arg_b=arg_b)
+
+    def angle():
+        return float(rng.uniform(0.0, TWO_PI))
+
+    def draw(fam):
+        if fam == 1:
+            dlt = angle()
+            return model1(coin(dlt), coin(dlt), rand_psi(rng))
+        if fam == 2:
+            common = coin(angle())
+            origin = make_coin(abs(common.alpha) * cmath.exp(1j * angle()), common.beta, angle())
+            return model2(common, origin, rand_psi(rng))
+        if fam == 3:
+            arg_b = angle()
+            return model3(coin(angle(), arg_b=arg_b), coin(angle(), arg_b=arg_b), rand_psi(rng))
+        if fam == 4:
+            dlt = angle()
+            return model4(coin(dlt), coin(dlt), rand_psi(rng))
+        dlt, aa = angle(), float(rng.uniform(0.2, 0.9))
+        origin = make_coin(cmath.exp(1j * angle()), 0.0, angle())
+        return model5(coin(dlt, aa), origin, coin(dlt, aa), rand_psi(rng))
+
+    kinds = set()
+    for k in range(60):
+        rep = draw(1 + k % 5)
+        trapped = analyze(rep.field).strongly_trapped
+        assert (rep.trapping_class is TrappingClass.STRONGLY_TRAPPED) == trapped, (k, rep)
+        if not rep.exists:
+            kinds.add("none")
+        elif rep.branch_plus is not None:
+            kinds.add("both" if rep.branch_plus and rep.branch_minus else "one")
+    assert kinds == {"none", "one", "both"}
 
 
 def test_defect_closed_form_on_figure_field(closed_of, spectral_of):

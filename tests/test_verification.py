@@ -124,3 +124,18 @@ def test_run_all_covers_every_figure(battery):
         assert labels == {f"fig{k}" for k in range(1, 8)}, name
     residual_count = sum(r.name == "eigen_residual" for r in battery)
     assert residual_count == sum(len(preset(k).report().eigenphases) for k in range(1, 8))
+
+
+def test_run_all_solves_each_field_once(monkeypatch):
+    import qwtrap.spectral as spectral
+
+    solve = spectral.find_eigenphases
+    fields = []
+
+    def counting(field, *args, **kwargs):
+        fields.append(field)
+        return solve(field, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "find_eigenphases", counting)
+    run_all(horizon=200)
+    assert len(fields) == 7
