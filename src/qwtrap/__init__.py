@@ -78,11 +78,13 @@ from .models import (
     ConstraintError,
     DefectEigenForm,
     DegeneracyError,
+    FAMILY_ROLES,
     FAMILY_TRAPPING,
     MODEL_FUNCTIONS,
     ModelReport,
     TrappingClass,
     defect_closed_form,
+    family_report,
     model1,
     model2,
     model3,
@@ -144,11 +146,13 @@ __all__ = [
     "ConstraintError",
     "DefectEigenForm",
     "DegeneracyError",
+    "FAMILY_ROLES",
     "FAMILY_TRAPPING",
     "MODEL_FUNCTIONS",
     "ModelReport",
     "TrappingClass",
     "defect_closed_form",
+    "family_report",
     "model1",
     "model2",
     "model3",

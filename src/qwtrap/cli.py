@@ -1,5 +1,12 @@
 """Command-line front end: simulate walks, locate spectra, emit figure data.
 
+Each subcommand accepts only the flags it reads (``_COMMANDS`` lists them);
+any other flag is a usage error.  ``simulate``, ``eigen``, ``limit``,
+``trap`` and ``model`` read the coin field from ``--config``; without one
+they use the fig1 reference field (``model`` the representative figure of
+its family).  ``figure`` always uses its preset and ``verify`` the whole
+reference catalogue.
+
 Configuration files are flat INI-style text with one section per coin
 role::
 
@@ -14,9 +21,10 @@ role::
 Roles ``minus`` and ``plus`` set the two asymptotic coins, ``origin`` the
 site-0 coin, and optional ``middle_<k>`` sections override further core
 sites (unspecified core sites fall back to the nearest asymptote, site 0
-to the plus side).  Complex entries are ``re,im`` pairs; ``delta`` is a
-plain float.  Command-line flags override file values.  Without a config
-the fig1 reference field is used.
+to the plus side).  Each coin may be set by one section only.  Complex
+entries are ``re,im`` pairs; ``delta`` is a plain float.  ``--psi``
+overrides the initial state, which is ``(1, 0)`` with a config and the
+preset's state without one.
 
 Exit codes: 0 on success, 1 on invalid input or configuration, 2 on an
 internal numerical degeneracy.  ``verify`` reports check outcomes in its
@@ -29,25 +37,13 @@ import argparse
 import configparser
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Coin, make_coin
-from .walk import (
-    CoinField,
-    Distribution,
-    WalkState,
-    defect_field,
-    evolve,
-    probability,
-    time_averaged,
-)
+from .walk import CoinField, Distribution, WalkState, evolve, probability, time_averaged
 from .spectral import (
-    DEFAULT_GRID,
-    DEFAULT_REFINE_TOL,
     INDEPENDENCE_TOL,
     NoEigenvalueError,
     NotInAdmissibleSetError,
@@ -55,8 +51,15 @@ from .spectral import (
     find_eigenphases,
     limit_distribution,
 )
-from .models import ConstraintError, DegeneracyError, ModelReport, MODEL_FUNCTIONS
-from .figures import PRESETS, preset as figure_preset
+from .models import (
+    FAMILY_ROLES,
+    MODEL_FUNCTIONS,
+    ConstraintError,
+    DegeneracyError,
+    ModelReport,
+    family_report,
+)
+from .figures import PRESETS, FigurePreset, preset as figure_preset
 from .verification import run_all, write_reports
 
 DEFAULT_STEPS = 70
@@ -66,24 +69,6 @@ DEFAULT_WINDOW = 20
 #: representative figure per closed-form family, used when ``model`` runs
 #: without a config file
 _MODEL_DEFAULT_FIG = {1: 1, 2: 3, 3: 4, 4: 5, 5: 7}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs, resolved from config file and flags."""
-
-    field: CoinField
-    coins: dict
-    psi: tuple[complex, complex]
-    steps: int
-    horizon: int | None
-    window: int
-    grid_points: int
-    refine_tol: float
-    out: str | None
-    fmt: str
-    svg: bool
-    fig_id: int | None
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -138,18 +123,23 @@ def _read_roles(path: str) -> dict:
     except (OSError, configparser.Error) as exc:
         raise ValueError(f"config {path}: {exc}") from exc
     roles: dict = {}
+    sections: dict = {}
     for section in cp.sections():
         low = section.lower()
         if low in ("minus", "plus", "origin"):
-            roles[low] = _coin_from_section(cp[section], section)
+            role = low
         elif low.startswith("middle_"):
             try:
-                site = int(low[len("middle_"):])
+                role = int(low[len("middle_"):])
             except ValueError:
                 raise ValueError(f"section [{section}]: middle sections are 'middle_<int>'") from None
-            roles[site] = _coin_from_section(cp[section], section)
         else:
             raise ValueError(f"unknown config section [{section}]")
+        key = 0 if role == "origin" else role  # [origin] is the site-0 coin
+        if key in sections:
+            raise ValueError(f"sections [{sections[key]}] and [{section}] set the same coin")
+        sections[key] = section
+        roles[role] = _coin_from_section(cp[section], section)
     return roles
 
 
@@ -160,8 +150,6 @@ def _field_from_roles(roles: dict) -> CoinField:
     minus, plus = roles["minus"], roles["plus"]
     sites = {k: v for k, v in roles.items() if isinstance(k, int)}
     if "origin" in roles:
-        if 0 in sites:
-            raise ValueError("config defines both [origin] and [middle_0]")
         sites[0] = roles["origin"]
     if not sites:
         sites[0] = plus
@@ -173,38 +161,24 @@ def _field_from_roles(roles: dict) -> CoinField:
     return CoinField(x_minus, x_plus, middle, minus, plus)
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    fig_id = args.id
-    config = None if args.command == "figure" else args.config  # presets are the figure source
+def _source(
+    args: argparse.Namespace, src: FigurePreset = PRESETS[0]
+) -> tuple[dict, CoinField, tuple[complex, complex]]:
+    """Coins by role, field and initial state from ``--config`` or preset ``src``.
+
+    ``--psi`` overrides the state; commands without ``--config`` or
+    ``--psi`` take the preset's.
+    """
+    config, psi = getattr(args, "config", None), getattr(args, "psi", None)
     if config is not None:
         roles = _read_roles(config)
         field = _field_from_roles(roles)
         default_psi = (complex(1.0), complex(0.0))
     else:
-        if args.command == "figure" and fig_id is not None:
-            src = figure_preset(fig_id)
-        elif args.command == "model" and fig_id in _MODEL_DEFAULT_FIG:
-            src = figure_preset(_MODEL_DEFAULT_FIG[fig_id])
-        else:
-            src = PRESETS[0]
         roles = {"minus": src.minus, "origin": src.origin, "plus": src.plus}
         field = src.field()
         default_psi = src.psi
-    psi = _parse_psi(args.psi) if args.psi is not None else default_psi
-    return RunConfig(
-        field=field,
-        coins=roles,
-        psi=psi,
-        steps=args.steps,
-        horizon=args.horizon,
-        window=args.window,
-        grid_points=args.grid,
-        refine_tol=args.tol,
-        out=args.out,
-        fmt=args.format,
-        svg=args.svg,
-        fig_id=fig_id,
-    )
+    return roles, field, _parse_psi(psi) if psi is not None else default_psi
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -284,12 +258,12 @@ def _svg_bars(xs, masses, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _maybe_svg(cfg: RunConfig, xs, masses, title: str) -> None:
-    if not cfg.svg:
+def _maybe_svg(args: argparse.Namespace, xs, masses, title: str) -> None:
+    if not args.svg:
         return
-    if cfg.out is None:
+    if args.out is None:
         raise ValueError("--svg needs --out to derive the chart path")
-    stem = cfg.out.rpartition(".")[0] or cfg.out
+    stem = args.out.rpartition(".")[0] or args.out
     _write_text(stem + ".svg", _svg_bars(list(xs), list(masses), title))
 
 
@@ -305,48 +279,50 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    state = evolve(WalkState.point(*cfg.psi), cfg.field, cfg.steps)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    _, field, psi = _source(args)
+    state = evolve(WalkState.point(*psi), field, args.steps)
     dist = _trimmed(probability(state))
-    emit_distribution(dist, cfg.out, cfg.fmt)
-    _maybe_svg(cfg, dist.sites().tolist(), dist.masses.tolist(), f"position distribution, t = {cfg.steps}")
+    emit_distribution(dist, args.out, args.format)
+    _maybe_svg(args, dist.sites().tolist(), dist.masses.tolist(), f"position distribution, t = {args.steps}")
     return 0
 
 
-def _cmd_eigen(cfg: RunConfig) -> int:
-    phases = find_eigenphases(cfg.field, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
-    if cfg.fmt == "json":
-        _write_text(cfg.out, json.dumps([float(p) for p in phases]) + "\n")
+def _cmd_eigen(args: argparse.Namespace) -> int:
+    phases = find_eigenphases(_source(args)[1])
+    if args.format == "json":
+        _write_text(args.out, json.dumps([float(p) for p in phases]) + "\n")
     else:
-        _write_text(cfg.out, _csv_table("lambda", [(p,) for p in phases]))
+        _write_text(args.out, _csv_table("lambda", [(p,) for p in phases]))
     return 0
 
 
-def _cmd_limit(cfg: RunConfig) -> int:
-    initial = WalkState.point(*cfg.psi)
-    rep = analyze(cfg.field, cfg.grid_points, cfg.refine_tol)
-    w = cfg.window
+def _cmd_limit(args: argparse.Namespace) -> int:
+    _, field, psi = _source(args)
+    initial = WalkState.point(*psi)
+    rep = analyze(field)
+    w = args.window
     exact = limit_distribution(rep.eigenpairs, initial, window=(-w, w))
-    if cfg.horizon is None:
-        emit_distribution(exact, cfg.out, cfg.fmt)
-        _maybe_svg(cfg, exact.sites().tolist(), exact.masses.tolist(), "time-averaged limit distribution")
+    if args.horizon is None:
+        emit_distribution(exact, args.out, args.format)
+        _maybe_svg(args, exact.sites().tolist(), exact.masses.tolist(), "time-averaged limit distribution")
         return 0
-    empirical = time_averaged(initial, cfg.field, cfg.horizon)
+    empirical = time_averaged(initial, field, args.horizon)
     rows = [
         (int(x), float(exact.mass_at(x)), float(empirical.mass_at(x)))
         for x in range(-w, w + 1)
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = [{"x": x, "mass": m, "empirical": e} for x, m, e in rows]
-        _write_text(cfg.out, json.dumps(payload, indent=1) + "\n")
+        _write_text(args.out, json.dumps(payload, indent=1) + "\n")
     else:
-        _write_text(cfg.out, _csv_table("x,mass,empirical", rows))
-    _maybe_svg(cfg, [r[0] for r in rows], [r[1] for r in rows], "time-averaged limit distribution")
+        _write_text(args.out, _csv_table("x,mass,empirical", rows))
+    _maybe_svg(args, [r[0] for r in rows], [r[1] for r in rows], "time-averaged limit distribution")
     return 0
 
 
-def _cmd_trap(cfg: RunConfig) -> int:
-    rep = analyze(cfg.field, cfg.grid_points, cfg.refine_tol)
+def _cmd_trap(args: argparse.Namespace) -> int:
+    rep = analyze(_source(args)[1])
     pairs = rep.eigenpairs
     verdict = rep.strongly_trapped
     origin_vals = np.array([p.vector().value(0) for p in pairs]).reshape(-1, 2)
@@ -361,35 +337,25 @@ def _cmd_trap(cfg: RunConfig) -> int:
         "origin_rank": rank,
         "origin_singular_values": [float(s) for s in svals],
     }
-    if cfg.fmt == "json":
-        _write_text(cfg.out, json.dumps(doc, indent=1) + "\n")
+    if args.format == "json":
+        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     else:
         rows = [("strongly_trapped", str(verdict).lower()), ("origin_rank", rank)]
         rows += [(f"lambda_{k}", p) for k, p in enumerate(doc["eigenphases"])]
         rows += [(f"sigma_{k}", s) for k, s in enumerate(doc["origin_singular_values"])]
-        _write_text(cfg.out, _csv_table("key,value", rows))
+        _write_text(args.out, _csv_table("key,value", rows))
     return 0
 
 
-def _model_coins(roles: dict, model_id: int) -> tuple:
-    minus, plus = roles.get("minus"), roles.get("plus")
-    origin = roles.get("origin")
-    if model_id in (1, 2):
-        common = minus or plus
-        if common is None or origin is None:
-            raise ValueError("families 1 and 2 need a common side coin and [origin]")
-        if minus is not None and plus is not None and (
-            minus.alpha != plus.alpha or minus.beta != plus.beta or minus.delta != plus.delta
-        ):
-            raise ValueError("families 1 and 2 need identical [minus] and [plus] coins")
-        return common, origin
-    if model_id in (3, 4):
-        if minus is None or plus is None:
-            raise ValueError("families 3 and 4 need [minus] and [plus] coins")
-        return minus, plus
-    if minus is None or plus is None or origin is None:
-        raise ValueError("family 5 needs [minus], [origin] and [plus] coins")
-    return minus, origin, plus
+def _model_coins(roles: dict, model_id: int) -> tuple[Coin, Coin | None, Coin]:
+    """The ``(minus, origin, plus)`` coins for family ``model_id``, checked."""
+    for role in FAMILY_ROLES[model_id]:
+        if role not in roles:
+            raise ValueError(f"family {model_id} needs the [{role}] coin")
+    minus, plus = roles["minus"], roles["plus"]
+    if model_id in (1, 2) and minus != plus:
+        raise ValueError("families 1 and 2 need identical [minus] and [plus] coins")
+    return minus, roles.get("origin"), plus
 
 
 def _report_doc(rep: ModelReport, prof: Distribution) -> dict:
@@ -412,81 +378,100 @@ def _report_doc(rep: ModelReport, prof: Distribution) -> dict:
     }
 
 
-def _cmd_model(cfg: RunConfig) -> int:
-    if cfg.fig_id is None:
+def _cmd_model(args: argparse.Namespace) -> int:
+    k = args.id
+    if k is None:
         raise ValueError("model needs --id 1..5")
-    if cfg.fig_id not in MODEL_FUNCTIONS:
-        raise ValueError(f"model id must be 1..5, got {cfg.fig_id}")
-    coin_args = _model_coins(cfg.coins, cfg.fig_id)
-    rep = MODEL_FUNCTIONS[cfg.fig_id](*coin_args, cfg.psi)
-    prof = rep.limit_window(-cfg.window, cfg.window)
-    if cfg.fmt == "json":
-        _write_text(cfg.out, json.dumps(_report_doc(rep, prof), indent=1) + "\n")
+    if k not in MODEL_FUNCTIONS:
+        raise ValueError(f"model id must be 1..5, got {k}")
+    roles, _, psi = _source(args, figure_preset(_MODEL_DEFAULT_FIG[k]))
+    rep = family_report(k, *_model_coins(roles, k), psi)
+    prof = rep.limit_window(-args.window, args.window)
+    if args.format == "json":
+        _write_text(args.out, json.dumps(_report_doc(rep, prof), indent=1) + "\n")
     else:
-        emit_distribution(prof, cfg.out, "csv")
-    _maybe_svg(cfg, prof.sites().tolist(), prof.masses.tolist(), f"family {rep.model_id} limit distribution")
+        emit_distribution(prof, args.out, "csv")
+    _maybe_svg(args, prof.sites().tolist(), prof.masses.tolist(), f"family {rep.model_id} limit distribution")
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_all(
-        horizon=cfg.horizon if cfg.horizon is not None else DEFAULT_HORIZON,
-        window=cfg.window,
-        grid_points=cfg.grid_points,
+        horizon=args.horizon if args.horizon is not None else DEFAULT_HORIZON,
+        window=args.window,
     )
     buf = io.StringIO()
     write_reports(reports, buf)
-    _write_text(cfg.out, buf.getvalue())
+    _write_text(args.out, buf.getvalue())
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
     return 0
 
 
-def _cmd_figure(cfg: RunConfig) -> int:
-    if cfg.fig_id is None:
+def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.id is None:
         raise ValueError("figure needs --id 1..7")
-    src = figure_preset(cfg.fig_id)
-    rep = src.report(cfg.psi)
-    field = src.field()
-    w = cfg.window
-    state = evolve(WalkState.point(*cfg.psi), field, cfg.steps)
+    src = figure_preset(args.id)
+    _, field, psi = _source(args, src)
+    rep = src.report(psi)
+    w, steps = args.window, args.steps
+    state = evolve(WalkState.point(*psi), field, steps)
     prob = probability(state)
     prof = rep.limit_window(-w, w)
     rows = [
         (int(x), float(prob.mass_at(x)), float(prof.mass_at(x))) for x in range(-w, w + 1)
     ]
     arcs = src.sweep()
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "figure": src.fig_id,
             "model": src.model_id,
             "title": src.title,
             "sweep_param": src.sweep_param,
             "distribution": [
-                {"x": x, f"mass_t{cfg.steps}": p, "nu_inf": m} for x, p, m in rows
+                {"x": x, f"mass_t{steps}": p, "nu_inf": m} for x, p, m in rows
             ],
             "arcs": [
                 {"param": float(v), "branch": b, "lambda": float(lam)} for v, b, lam in arcs
             ],
         }
-        _write_text(cfg.out, json.dumps(doc, indent=1) + "\n")
+        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
     else:
-        main = _csv_table(f"x,mass_t{cfg.steps},nu_inf", rows)
-        _write_text(cfg.out, main)
+        main = _csv_table(f"x,mass_t{steps},nu_inf", rows)
+        _write_text(args.out, main)
         arcs_csv = _csv_table("param,branch,lambda", arcs)
-        _write_text(_sibling(cfg.out, "_arcs"), arcs_csv)
-    _maybe_svg(cfg, [r[0] for r in rows], [r[2] for r in rows], f"figure {src.fig_id}: {src.title}")
+        _write_text(_sibling(args.out, "_arcs"), arcs_csv)
+    _maybe_svg(args, [r[0] for r in rows], [r[2] for r in rows], f"figure {src.fig_id}: {src.title}")
     return 0
 
 
+#: argparse keyword arguments of every flag, by flag name
+_FLAGS = {
+    "config": dict(metavar="PATH", help="coin field description file"),
+    "out": dict(metavar="PATH", help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "svg": dict(action="store_true", help="also write an SVG bar chart"),
+    "steps": dict(type=int, default=DEFAULT_STEPS, metavar="N"),
+    "horizon": dict(type=int, default=None, metavar="T"),
+    "window": dict(type=int, default=DEFAULT_WINDOW, metavar="W"),
+    "id": dict(type=int, default=None, metavar="K"),
+    "psi": dict(default=None, metavar="RE,IM,RE,IM", help="initial state at the origin"),
+}
+
+#: handler, help text and the flags it reads, by subcommand
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "eigen": _cmd_eigen,
-    "limit": _cmd_limit,
-    "trap": _cmd_trap,
-    "model": _cmd_model,
-    "verify": _cmd_verify,
-    "figure": _cmd_figure,
+    "simulate": (_cmd_simulate, "probability distribution after --steps walk steps",
+                 ("config", "out", "format", "svg", "steps", "psi")),
+    "eigen": (_cmd_eigen, "locate all eigenphases of the field", ("config", "out", "format")),
+    "limit": (_cmd_limit, "time-averaged limit distribution (add --horizon for the empirical average)",
+              ("config", "out", "format", "svg", "horizon", "window", "psi")),
+    "trap": (_cmd_trap, "strong-trapping verdict with origin-rank evidence", ("config", "out", "format")),
+    "model": (_cmd_model, "closed-form family report, --id 1..5",
+              ("config", "out", "format", "svg", "window", "id", "psi")),
+    "verify": (_cmd_verify, "cross-check battery over the reference catalogue (JSON lines)",
+               ("out", "horizon", "window")),
+    "figure": (_cmd_figure, "emit data behind reference figure --id 1..7 (distribution + eigenvalue arcs)",
+               ("out", "format", "svg", "steps", "window", "id", "psi")),
 }
 
 
@@ -496,29 +481,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-state quantum walks on the line: simulation, point spectra, trapping.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "probability distribution after --steps walk steps",
-        "eigen": "locate all eigenphases of the field",
-        "limit": "time-averaged limit distribution (add --horizon for the empirical average)",
-        "trap": "strong-trapping verdict with origin-rank evidence",
-        "model": "closed-form family report, --id 1..5",
-        "verify": "cross-check battery over the reference catalogue (JSON lines)",
-        "figure": "emit data behind reference figure --id 1..7 (distribution + eigenvalue arcs)",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="coin field description file")
-        p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--svg", action="store_true", help="also write an SVG bar chart")
-        p.add_argument("--steps", type=int, default=DEFAULT_STEPS, metavar="N")
-        p.add_argument("--horizon", type=int, default=None, metavar="T")
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW, metavar="W")
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID, metavar="N")
-        p.add_argument("--tol", type=float, default=DEFAULT_REFINE_TOL, metavar="X")
-        p.add_argument("--id", type=int, default=None, metavar="K")
-        p.add_argument("--psi", default=None, metavar="RE,IM,RE,IM",
-                       help="initial state at the origin")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -529,7 +495,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](_resolve(args))
+        return _COMMANDS[args.command][0](args)
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import Coin, TWO_PI, make_coin
 from .walk import CoinField, defect_field
-from .models import (
-    ConstraintError,
-    DegeneracyError,
-    ModelReport,
-    model1,
-    model2,
-    model3,
-    model4,
-    model5,
-)
+from .models import ConstraintError, DegeneracyError, ModelReport, family_report
 
 _R = 1.0 / math.sqrt(2.0)
 # components of the reflection-free states used with figs 4 and 5
@@ -59,18 +50,8 @@ class FigurePreset:
 
     def report(self, psi: tuple[complex, complex] | None = None) -> ModelReport:
         """Closed-form family report, for the preset state unless overridden."""
-        return self._build(self.minus, self.origin, self.plus, psi if psi is not None else self.psi)
-
-    def _build(self, minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
-        if self.model_id == 1:
-            return model1(minus, origin, psi)
-        if self.model_id == 2:
-            return model2(minus, origin, psi)
-        if self.model_id == 3:
-            return model3(minus, plus, psi)
-        if self.model_id == 4:
-            return model4(minus, plus, psi)
-        return model5(minus, origin, plus, psi)
+        psi = psi if psi is not None else self.psi
+        return family_report(self.model_id, self.minus, self.origin, self.plus, psi)
 
     def _swept(self, val: float) -> tuple[Coin, Coin, Coin]:
         """Replace the swept angle by ``val``, keeping every modulus fixed."""
@@ -99,7 +80,7 @@ class FigurePreset:
         for k in range(points):
             val = k * TWO_PI / points
             try:
-                rep = self._build(*self._swept(val), self.psi)
+                rep = family_report(self.model_id, *self._swept(val), self.psi)
             except (ConstraintError, DegeneracyError):
                 continue
             for lam, label in zip(rep.eigenphases, rep.branch_of):

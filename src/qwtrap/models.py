@@ -471,6 +471,27 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
 
 MODEL_FUNCTIONS = {1: model1, 2: model2, 3: model3, 4: model4, 5: model5}
 
+#: the coins of a defect field ``minus | origin | plus`` that each family
+#: takes, in argument order
+FAMILY_ROLES: Mapping[int, tuple[str, ...]] = {
+    1: ("minus", "origin"),
+    2: ("minus", "origin"),
+    3: ("minus", "plus"),
+    4: ("minus", "plus"),
+    5: ("minus", "origin", "plus"),
+}
+
+
+def family_report(model_id: int, minus: Coin, origin: Coin | None, plus: Coin, psi) -> ModelReport:
+    """Report of family ``model_id`` on the defect field ``minus | origin | plus``.
+
+    Coins the family does not take (see ``FAMILY_ROLES``) are ignored.  The
+    family function is looked up in ``MODEL_FUNCTIONS`` at call time, so a
+    wrapper placed there sees every family report.
+    """
+    coins = {"minus": minus, "origin": origin, "plus": plus}
+    return MODEL_FUNCTIONS[model_id](*(coins[role] for role in FAMILY_ROLES[model_id]), psi)
+
 
 @dataclass(frozen=True)
 class DefectEigenForm:

@@ -280,19 +280,16 @@ def _intersect_arcs(
     return sorted(out)
 
 
-def find_eigenphases(
-    field: CoinField,
-    grid_points: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> list[float]:
+def find_eigenphases(field: CoinField, grid_points: int = DEFAULT_GRID) -> list[float]:
     """All eigenphases in ``[0, 2*pi)``, sorted ascending.
 
     Samples the residual once over each closed-form admissible arc, at
     spacing ``2*pi / grid_points`` with 17 to 4001 samples per arc, so arcs
     narrower than the spacing are still seen.  Every local minimum is
     bracketed by its neighbours (the arc ends at the edges), all brackets
-    are refined together by golden-section search to width ``refine_tol``,
-    and the refined phases whose residual certifies an eigenphase are kept.
+    are refined together by golden-section search to width
+    ``DEFAULT_REFINE_TOL``, and the refined phases whose residual certifies
+    an eigenphase are kept.
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
@@ -307,7 +304,7 @@ def find_eigenphases(
         ends = np.concatenate(([s], pts, [e]))
         lo.append(ends[k])
         hi.append(ends[k + 2])
-    refined = _golden_min(field, np.concatenate(lo), np.concatenate(hi), refine_tol)
+    refined = _golden_min(field, np.concatenate(lo), np.concatenate(hi), DEFAULT_REFINE_TOL)
     found: list[tuple[float, float]] = []
     for x, r in zip(refined.tolist(), _residual_or_inf(field, refined).tolist()):
         if r < RESIDUAL_ACCEPT:
@@ -572,12 +569,8 @@ class SpectralReport:
     strongly_trapped: bool
 
 
-def analyze(
-    field: CoinField,
-    grid_points: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> SpectralReport:
+def analyze(field: CoinField, grid_points: int = DEFAULT_GRID) -> SpectralReport:
     """Locate all eigenphases, build their eigenvectors, classify trapping."""
-    phases = find_eigenphases(field, grid_points, refine_tol)
+    phases = find_eigenphases(field, grid_points)
     pairs = tuple(build_eigenvector(field, lam) for lam in phases)
     return SpectralReport(pairs, admissible_arcs(field), is_strongly_trapped(pairs))

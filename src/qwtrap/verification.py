@@ -166,9 +166,8 @@ def run_all(
         initial = WalkState.point(*preset.psi)
         exact = limit_distribution(pairs, initial, window=(-window, window))
         tail = sum(
-            abs(pair.vector().overlap(initial)) ** 2
-            * pair.vector().mass_outside(-window, window)
-            for pair in pairs
+            abs(vec.overlap(initial)) ** 2 * vec.mass_outside(-window, window)
+            for vec in (pair.vector() for pair in pairs)
         )
         mass_gap = abs(exact.total() + tail - trapped_mass(pairs, initial))
         reports.append(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -277,6 +278,72 @@ def test_exit_code_two_on_degenerate_family(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "first, second", [("minus", "MINUS"), ("middle_1", "middle_01"), ("origin", "middle_0")]
+)
+def test_config_setting_one_coin_twice_is_rejected(capsys, tmp_path, first, second):
+    path = tmp_path / "twice.ini"
+    sections = dict.fromkeys(["minus", "plus", first, second])  # each name once
+    path.write_text("".join(f"[{name}]\n{HADAMARD}\n" for name in sections))
+    code, out, err = invoke(capsys, "trap", "--config", str(path))
+    assert code == 1 and out == ""
+    assert f"[{first}]" in err and f"[{second}]" in err
+
+
+#: the flags each subcommand reads; every other flag is a usage error
+DECLARED_FLAGS = {
+    "simulate": {"config", "out", "format", "svg", "steps", "psi"},
+    "eigen": {"config", "out", "format"},
+    "limit": {"config", "out", "format", "svg", "horizon", "window", "psi"},
+    "trap": {"config", "out", "format"},
+    "model": {"config", "out", "format", "svg", "window", "id", "psi"},
+    "verify": {"out", "horizon", "window"},
+    "figure": {"out", "format", "svg", "steps", "window", "id", "psi"},
+}
+#: a value each flag would accept where it is declared (None for a switch)
+FLAG_VALUES = {
+    "config": "CONFIG", "out": "OUT", "format": "json", "svg": None, "steps": "3",
+    "horizon": "50", "window": "3", "grid": "20000", "tol": "1e-12", "id": "1", "psi": "1,0,0,0",
+}
+#: arguments that make each subcommand succeed on its own
+BASE_ARGV = {"model": ["--id", "1"], "figure": ["--id", "1"]}
+
+
+def flag_argv(flag, tmp_path, config):
+    value = FLAG_VALUES[flag]
+    value = {"CONFIG": config, "OUT": str(tmp_path / "out.csv")}.get(value, value)
+    return [f"--{flag}"] + ([] if value is None else [value])
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
+def test_all_declared_flags_together_succeed(capsys, tmp_path, fig1_config, command):
+    argv = [command, *BASE_ARGV.get(command, [])]
+    for flag in sorted(DECLARED_FLAGS[command] - {"id"}):
+        argv += flag_argv(flag, tmp_path, fig1_config)
+    code, _, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
+def test_help_lists_exactly_the_declared_flags(capsys, command):
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--([a-z]+)", out)) - {"help"} == DECLARED_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in sorted(DECLARED_FLAGS) for f in sorted(FLAG_VALUES) if f not in DECLARED_FLAGS[c]],
+)
+def test_undeclared_flag_is_a_usage_error(capsys, tmp_path, fig1_config, command, flag):
+    argv = [command, *BASE_ARGV.get(command, []), *flag_argv(flag, tmp_path, fig1_config)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"--{flag}" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def declared_console_script(name="qwtrap"):
     """The ``module:function`` target of ``[project.scripts].<name>`` in pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -289,14 +356,20 @@ def declared_console_script(name="qwtrap"):
     return module.strip(), func.strip()
 
 
+def env_importing_this_qwtrap():
+    """Environment whose fresh interpreters import the qwtrap this test did."""
+    env = dict(os.environ)
+    src_dir = str(Path(qwtrap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_entry_point(tmp_path):
     # The declared script target, run in a fresh interpreter that imports the
     # same qwtrap this test did; plus the installed script when one is on PATH.
     module, func = declared_console_script()
-    env = dict(os.environ)
-    src_dir = str(Path(qwtrap.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    commands = [([sys.executable, "-c", f"from {module} import {func}; {func}()"], env)]
+    launch = [sys.executable, "-c", f"from {module} import {func}; {func}()"]
+    commands = [(launch, env_importing_this_qwtrap())]
     installed = shutil.which("qwtrap")
     if installed:
         commands.append(([installed], None))
@@ -323,6 +396,7 @@ def test_fresh_process_output_matches_in_process(capsys):
         [sys.executable, "-c", "from qwtrap.cli import run; raise SystemExit(run(['eigen']))"],
         capture_output=True,
         text=True,
+        env=env_importing_this_qwtrap(),
     )
     assert proc.returncode == 0
     code, out, _ = invoke(capsys, "eigen")

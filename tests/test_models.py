@@ -15,6 +15,7 @@ from qwtrap.models import (
     DegeneracyError,
     TrappingClass,
     defect_closed_form,
+    family_report,
     model1,
     model2,
     model3,
@@ -452,3 +453,20 @@ def test_defect_closed_form_requires_single_defect():
     wide = CoinField(-2, 2, (h, h, h), h, h)
     with pytest.raises(ConstraintError):
         defect_closed_form(wide, 0.5)
+
+
+def test_presets_and_sweeps_dispatch_through_model_functions(monkeypatch):
+    # a wrapper placed in MODEL_FUNCTIONS (as a call tracer does) sees every
+    # family report that a preset, its sweep or family_report builds
+    calls = []
+    for k, fn in list(MODEL_FUNCTIONS.items()):
+        monkeypatch.setitem(MODEL_FUNCTIONS, k, lambda *a, k=k, fn=fn: calls.append(k) or fn(*a))
+    for fig_id in range(1, 8):
+        p = preset(fig_id)
+        calls.clear()
+        rep = p.report()
+        p.sweep(points=6)
+        assert calls == [p.model_id] * 7
+        again = family_report(p.model_id, p.minus, p.origin, p.plus, p.psi)
+        assert again.eigenphases == rep.eigenphases
+        assert np.array_equal(again.limit_window(-3, 3).masses, rep.limit_window(-3, 3).masses)
