@@ -4,8 +4,9 @@ Each subcommand accepts only the flags it reads (``_COMMANDS`` lists them);
 any other flag is a usage error.  ``simulate``, ``eigen``, ``limit``,
 ``trap`` and ``model`` read the coin field from ``--config``; without one
 they use the fig1 reference field (``model`` the representative figure of
-its family).  ``figure`` always uses its preset and ``verify`` the whole
-reference catalogue.
+its family).  ``model`` describes single-defect fields only and rejects a
+config that sets a ``middle_<k>`` coin off the origin.  ``figure`` always
+uses its preset and ``verify`` the whole reference catalogue.
 
 Configuration files are flat INI-style text with one section per coin
 role::
@@ -349,6 +350,12 @@ def _cmd_trap(args: argparse.Namespace) -> int:
 
 def _model_coins(roles: dict, model_id: int) -> tuple[Coin, Coin | None, Coin]:
     """The ``(minus, origin, plus)`` coins for family ``model_id``, checked."""
+    extra = sorted(k for k in roles if isinstance(k, int) and k != 0)
+    if extra:
+        names = ", ".join(f"[middle_{k}]" for k in extra)
+        raise ValueError(
+            f"family reports describe single-defect fields; the config also sets {names}"
+        )
     for role in FAMILY_ROLES[model_id]:
         if role not in roles:
             raise ValueError(f"family {model_id} needs the [{role}] coin")

@@ -5,6 +5,17 @@ finite window.  Because a step moves amplitude by exactly one site, any
 window containing the light cone reproduces the infinite-lattice dynamics
 exactly; :func:`window_for` returns such a window and :func:`evolve`
 allocates it once up front.
+
+One kernel, ``_propagate``, serves :func:`evolve` and :func:`time_averaged`.
+It keeps the coin entries ``a, b, c, d`` and the left- and right-mover
+amplitudes as contiguous vectors over the window, and each step updates
+only the light cone of the initial support, which grows by one site per
+side.  ``t`` steps from a point state cost about ``t**2`` site updates,
+against ``2 t**2`` on the full window; :func:`time_averaged` likewise adds
+only each cone's masses.  Numpy's complex product rounds differently from
+a ``2 x 2`` matrix product, so the amplitudes agree with a full-window
+``einsum`` kernel to ``t * eps`` (``eps`` = 2.2e-16) per entry, and time
+averages to 1e-13, not bit for bit.
 """
 
 from __future__ import annotations
@@ -144,8 +155,15 @@ def window_for(t: int, field: CoinField, support: tuple[int, int]) -> tuple[int,
     return lo - t - 1, hi + t + 1
 
 
-def _coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
-    return np.stack([coin_matrix(field.coin(x)) for x in range(lo, hi + 1)])
+def _coin_coefficients(field: CoinField, lo: int, hi: int) -> np.ndarray:
+    """Entries ``a, b, c, d`` of ``C_x = [[a, b], [c, d]]`` for ``x = lo .. hi``.
+
+    A ``(4, hi - lo + 1)`` array whose rows are contiguous.  Each distinct
+    coin's matrix is built once and broadcast over the sites it rules.
+    """
+    table = np.array([coin_matrix(c) for c in (field.left, *field.middle, field.right)])
+    rows = np.clip(np.arange(lo, hi + 1) - field.x_minus, 0, len(field.middle) + 1)
+    return np.take(table.reshape(-1, 4).T, rows, axis=1)
 
 
 def step(state: WalkState, field: CoinField) -> WalkState:
@@ -165,21 +183,38 @@ def _shift_fixed(mixed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed(initial: WalkState, lo: int, hi: int) -> np.ndarray:
-    amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
-    amps[initial.lo - lo : initial.hi - lo + 1] = initial.amps
-    return amps
+def _propagate(
+    initial: WalkState, field: CoinField, t: int
+) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """Amplitudes after 0, 1, .., ``t`` steps on the light-cone window of ``t`` steps.
 
-
-def _propagate(initial: WalkState, field: CoinField, t: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(lo, amps)`` on the light-cone window of ``t`` steps after 0, 1, .., ``t`` steps."""
+    Yields ``(lo, cone, left, right)``: ``left[k]`` and ``right[k]`` are the
+    left- and right-mover amplitudes of site ``lo + k``, and every entry
+    outside the slice ``cone`` is exactly zero.  Both vectors are updated
+    in place by the next step, so a consumer copies what it keeps.
+    """
     lo, hi = window_for(t, field, (initial.lo, initial.hi))
-    amps = _embed(initial, lo, hi)
-    coins = _coin_stack(field, lo, hi)
-    yield lo, amps
-    for _ in range(t):
-        amps = _shift_fixed(np.einsum("xij,xj->xi", coins, amps))
-        yield lo, amps
+    n = hi - lo + 1
+    a, b, c, d = _coin_coefficients(field, lo, hi)
+    left = np.zeros(n, dtype=np.complex128)
+    right = np.zeros(n, dtype=np.complex128)
+    start = initial.lo - lo  # cones are rows p .. n - p - 1: the window is symmetric
+    left[start : n - start] = initial.amps[:, 0]
+    right[start : n - start] = initial.amps[:, 1]
+    yield lo, slice(start, n - start), left, right
+    scratch = np.empty((4, n), dtype=np.complex128)
+    for p in range(start, 1, -1):
+        q = n - p
+        aL, bR, cL, dR = (s[: q - p] for s in scratch)
+        np.multiply(a[p:q], left[p:q], out=aL)
+        np.multiply(b[p:q], right[p:q], out=bR)
+        np.multiply(c[p:q], left[p:q], out=cL)
+        np.multiply(d[p:q], right[p:q], out=dR)
+        np.add(aL, bR, out=left[p - 1 : q - 1])  # S moves left-movers one site left
+        np.add(cL, dR, out=right[p + 1 : q + 1])  # and right-movers one site right
+        left[q - 1] = 0.0
+        right[p] = 0.0
+        yield lo, slice(p - 1, q + 1), left, right
 
 
 def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
@@ -188,9 +223,9 @@ def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
         raise ValueError("t must be >= 0")
     if t == 0:
         return initial
-    for lo, amps in _propagate(initial, field, t):
+    for lo, _, left, right in _propagate(initial, field, t):
         pass
-    return WalkState(lo, amps)
+    return WalkState(lo, np.stack((left, right), axis=1))
 
 
 def probability(state: WalkState) -> Distribution:
@@ -200,26 +235,42 @@ def probability(state: WalkState) -> Distribution:
 
 
 class _PairwiseSum:
-    """Binary-counter pairwise accumulation with O(log n) partial blocks."""
+    """Binary-counter pairwise accumulation with O(log n) partial blocks.
+
+    A block is ``(offset, values)``: the slice at ``offset`` of an array
+    that is zero elsewhere.  Each term must cover the slices of all earlier
+    terms, as a growing light cone does, and hold no negative zeros; the
+    sums then equal, bit for bit, those of the zero-padded arrays, because
+    adding an exact zero changes nothing.
+    """
 
     def __init__(self) -> None:
-        self._blocks: list[np.ndarray | None] = []
+        self._blocks: list[tuple[int, np.ndarray] | None] = []
 
-    def add(self, term: np.ndarray) -> None:
-        carry = term
+    @staticmethod
+    def _merge(outer: tuple[int, np.ndarray], inner: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+        """Add ``inner`` into ``outer``'s values in place; ``outer`` covers ``inner``."""
+        start = inner[0] - outer[0]
+        outer[1][start : start + len(inner[1])] += inner[1]
+        return outer
+
+    def add(self, offset: int, term: np.ndarray) -> None:
+        """Accumulate ``term`` at ``offset``; the sum takes ownership of ``term``."""
+        carry = (offset, term)
         for i, block in enumerate(self._blocks):
             if block is None:
                 self._blocks[i] = carry
                 return
-            carry = block + carry
+            carry = self._merge(carry, block)
             self._blocks[i] = None
         self._blocks.append(carry)
 
-    def value(self) -> np.ndarray:
+    def value(self) -> tuple[int, np.ndarray]:
+        """``(offset, values)`` of the sum so far."""
         total = None
         for block in self._blocks:
             if block is not None:
-                total = block if total is None else total + block
+                total = (block[0], block[1].copy()) if total is None else self._merge(total, block)
         if total is None:
             raise ValueError("nothing accumulated")
         return total
@@ -230,6 +281,9 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     acc = _PairwiseSum()
-    for lo, amps in _propagate(initial, field, horizon - 1):
-        acc.add(np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
-    return Distribution(lo, acc.value() / horizon)
+    for lo, cone, left, right in _propagate(initial, field, horizon - 1):
+        acc.add(cone.start, np.abs(left[cone]) ** 2 + np.abs(right[cone]) ** 2)
+    offset, total = acc.value()
+    masses = np.zeros(len(left))
+    masses[offset : offset + len(total)] = total / horizon
+    return Distribution(lo, masses)

@@ -264,6 +264,17 @@ def test_exit_code_one_on_bad_config(capsys, tmp_path):
         assert err.startswith("error:"), name
 
 
+def test_model_rejects_core_coins_off_the_origin(capsys, fig1_config):
+    # a family report describes the single-defect field, not the one the config sets
+    path = Path(fig1_config)
+    path.write_text(path.read_text() + "\n[middle_3]\nalpha = 0.6,0\nbeta = 0.8,0\n")
+    code, out, _ = invoke(capsys, "eigen", "--config", str(path))
+    assert code == 0 and out
+    code, out, err = invoke(capsys, "model", "--id", "1", "--config", str(path))
+    assert code == 1 and out == ""
+    assert "[middle_3]" in err and "single-defect" in err
+
+
 def test_exit_code_two_on_degenerate_family(capsys, tmp_path):
     a_o = math.sqrt(1e-13)
     b_o = -math.sqrt(1.0 - 1e-13)

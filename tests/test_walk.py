@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coin, random_field, random_unit_psi
-from qwtrap.algebra import make_coin
+from qwtrap.algebra import coin_matrix, make_coin
+from qwtrap.figures import PRESETS
 from qwtrap.walk import (
     CoinField,
     Distribution,
     WalkState,
     WindowOverflowError,
+    _coin_coefficients,
+    _PairwiseSum,
+    _shift_fixed,
     defect_field,
     evolve,
     probability,
@@ -213,3 +217,183 @@ def test_norm_and_cone_property(seed, t):
     assert abs(out.norm_sq() - 1.0) <= 1e-12
     assert np.all(out.amplitude(t + 1) == 0.0)
     assert np.all(out.amplitude(-t - 1) == 0.0)
+
+
+# --- reference kernel ------------------------------------------------------
+#
+# The full-window propagation that the light-cone kernel replaced: a per-site
+# stack of coin matrices, an ``einsum`` over the whole window and a
+# fixed-window shift on every step, with time averages summed pairwise over
+# zero-padded mass arrays.  The light-cone kernel must agree with it to the
+# tolerances written in ``qwtrap.walk``.
+
+EPS = np.finfo(np.float64).eps
+MASS_TOL = 1e-13
+HORIZONS = (0, 1, 2, 17, 300, 2000)
+
+
+def _reference_coin_stack(field, lo, hi):
+    return np.stack([coin_matrix(field.coin(x)) for x in range(lo, hi + 1)])
+
+
+def _reference_propagate(initial, field, t):
+    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
+    amps[initial.lo - lo : initial.hi - lo + 1] = initial.amps
+    coins = _reference_coin_stack(field, lo, hi)
+    yield lo, amps
+    for _ in range(t):
+        amps = _shift_fixed(np.einsum("xij,xj->xi", coins, amps))
+        yield lo, amps
+
+
+class _PaddedPairwiseSum:
+    """Binary-counter pairwise sum of equal-length arrays."""
+
+    def __init__(self):
+        self._blocks = []
+
+    def add(self, term):
+        carry = term
+        for i, block in enumerate(self._blocks):
+            if block is None:
+                self._blocks[i] = carry
+                return
+            carry = block + carry
+            self._blocks[i] = None
+        self._blocks.append(carry)
+
+    def value(self):
+        total = None
+        for block in self._blocks:
+            if block is not None:
+                total = block if total is None else total + block
+        return total
+
+
+def _reference_ladder(initial, field, horizons):
+    """Reference states after ``t`` steps and averages over ``h`` steps, by ``t`` / ``h``.
+
+    One run on the window of the longest horizon serves every horizon: a
+    wider window only pads with zeros, which change no computed value.
+    """
+    acc = _PaddedPairwiseSum()
+    states, averages = {}, {}
+    for t, (lo, amps) in enumerate(_reference_propagate(initial, field, max(horizons))):
+        if t in horizons:
+            states[t] = (lo, amps)
+        acc.add(np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
+        if t + 1 in horizons:
+            averages[t + 1] = (lo, acc.value() / (t + 1))
+    return states, averages
+
+
+def _crop(ref, lo, n):
+    """Entries of the reference ``(ref_lo, values)`` on sites ``lo .. lo + n - 1``."""
+    ref_lo, values = ref
+    k = lo - ref_lo
+    assert not np.any(values[:k]) and not np.any(values[k + n :])
+    return values[k : k + n]
+
+
+def _core_field(rng, width):
+    """Random field whose core is exactly ``width`` sites wide."""
+    x_minus = -int(rng.integers(1, width + 1))
+    middle = tuple(random_coin(rng) for _ in range(width))
+    return CoinField(x_minus, x_minus + width + 1, middle, random_coin(rng), random_coin(rng))
+
+
+def _multi_site_state(rng):
+    """Unit state on 2-6 sites whose window starts off the origin."""
+    lo = int(rng.choice([*range(-12, 0), *range(1, 13)]))
+    v = rng.normal(size=(int(rng.integers(2, 7)), 2, 2))
+    amps = v[..., 0] + 1j * v[..., 1]
+    return WalkState(lo, amps / np.linalg.norm(amps))
+
+
+#: the seven presets, then 30 seeded random cores of width 1..9
+REFERENCE_FIELDS = [("preset", k) for k in range(len(PRESETS))] + [("core", k) for k in range(30)]
+
+
+def _reference_case(kind, k):
+    """Field and two initial states (a point state, a multi-site state) of one case."""
+    rng = np.random.default_rng(9100 + k)
+    if kind == "preset":
+        field = PRESETS[k].field()
+        point = WalkState.point(*PRESETS[k].psi)
+    else:
+        field = _core_field(rng, 1 + k % 9)
+        point = WalkState.point(*random_unit_psi(rng), x=int(rng.integers(-10, 11)))
+    return field, point, _multi_site_state(rng)
+
+
+@pytest.mark.parametrize("kind, k", REFERENCE_FIELDS)
+def test_cone_kernel_matches_full_window_reference(kind, k):
+    """Amplitudes within ``t * eps``, averages within 1e-13, exact zeros off the cone.
+
+    The point state runs the whole horizon ladder; the multi-site state
+    stops at 300 steps, where the full-window reference is still cheap.
+    """
+    field, point, spread = _reference_case(kind, k)
+    for initial, horizons in ((point, HORIZONS), (spread, HORIZONS[:-1])):
+        states, averages = _reference_ladder(initial, field, horizons)
+        for t in horizons:
+            out = evolve(initial, field, t)
+            if t:
+                assert (out.lo, out.hi) == window_for(t, field, (initial.lo, initial.hi))
+            else:
+                assert out is initial
+            want = _crop(states[t], out.lo, len(out.amps))
+            assert np.all(np.abs(out.amps - want) <= t * EPS), (t, np.abs(out.amps - want).max())
+            sites = out.lo + np.arange(len(out.amps))
+            outside = (sites < initial.lo - t) | (sites > initial.hi + t)
+            assert np.all(out.amps[outside] == 0.0)
+        for h in horizons[1:]:
+            avg = time_averaged(initial, field, h)
+            lo, hi = window_for(h - 1, field, (initial.lo, initial.hi))
+            assert (avg.lo, avg.hi) == (lo, hi)
+            want = _crop(averages[h], avg.lo, len(avg.masses))
+            assert np.all(np.abs(avg.masses - want) <= MASS_TOL), (h, np.abs(avg.masses - want).max())
+            sites = avg.sites()
+            outside = (sites < initial.lo - (h - 1)) | (sites > initial.hi + (h - 1))
+            assert np.all(avg.masses[outside] == 0.0)
+
+
+def test_coin_coefficients_equal_the_per_site_stack(rng):
+    wide = _core_field(rng, 9)  # core sites x_minus + 1 .. x_plus - 1
+    windows = [
+        (wide.x_minus - 6, wide.x_plus + 6),  # the whole core and both asymptotes
+        (wide.x_minus + 3, wide.x_plus + 4),  # starts inside the core
+        (wide.x_minus - 4, wide.x_plus - 2),  # ends inside the core
+        (wide.x_minus + 2, wide.x_plus - 3),  # inside the core
+        (wide.x_minus - 9, wide.x_minus),  # left asymptote only
+        (wide.x_plus, wide.x_plus + 5),  # right asymptote only
+        (wide.x_minus + 4, wide.x_minus + 4),  # one core site
+    ]
+    for field in (wide, _core_field(rng, 1), uniform_field(HADAMARD)):
+        for lo, hi in windows:
+            got = _coin_coefficients(field, lo, hi)
+            assert got.shape == (4, hi - lo + 1) and got.flags.c_contiguous
+            want = _reference_coin_stack(field, lo, hi).reshape(-1, 4).T
+            assert np.array_equal(got, want), (lo, hi)
+
+
+def test_cone_sliced_pairwise_sum_is_bit_identical(rng):
+    width = 61
+    sliced, padded = _PairwiseSum(), _PaddedPairwiseSum()
+    lo, hi = 30, 31
+    for k in range(45):  # not a power of two, so value() joins several blocks
+        lo -= int(rng.integers(0, 2))
+        hi += int(rng.integers(0, 2))
+        lo, hi = max(lo, 0), min(hi, width)
+        term = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 1)
+        term[rng.random(hi - lo) < 0.2] = 0.0
+        padded_term = np.zeros(width)
+        padded_term[lo:hi] = term
+        sliced.add(lo, term.copy())
+        padded.add(padded_term)
+        offset, values = sliced.value()
+        total = np.zeros(width)
+        total[offset : offset + len(values)] = values
+        assert np.array_equal(total, padded.value()), k
+        assert offset == lo and len(values) == hi - lo
