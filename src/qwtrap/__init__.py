@@ -26,7 +26,6 @@ from .algebra import (
     Coin,
     TWO_PI,
     coin_matrix,
-    dagger,
     eig2,
     make_coin,
     mat2,
@@ -36,7 +35,6 @@ from .walk import (
     CoinField,
     Distribution,
     WalkState,
-    WindowOverflowError,
     defect_field,
     evolve,
     probability,
@@ -59,7 +57,6 @@ from .spectral import (
     TransferEigen,
     admissible_arcs,
     analyze,
-    boundary_products,
     build_eigenvector,
     contracting_zeta,
     discriminant,
@@ -100,7 +97,6 @@ __all__ = [
     "Coin",
     "TWO_PI",
     "coin_matrix",
-    "dagger",
     "eig2",
     "make_coin",
     "mat2",
@@ -108,7 +104,6 @@ __all__ = [
     "CoinField",
     "Distribution",
     "WalkState",
-    "WindowOverflowError",
     "defect_field",
     "evolve",
     "probability",
@@ -129,7 +124,6 @@ __all__ = [
     "TransferEigen",
     "admissible_arcs",
     "analyze",
-    "boundary_products",
     "build_eigenvector",
     "contracting_zeta",
     "discriminant",

@@ -76,10 +76,6 @@ def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=np.complex128)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def coin_matrix(coin: Coin) -> np.ndarray:
     """The unitary matrix ``exp(i*delta) [[alpha, beta], [-conj(beta), conj(alpha)]]``."""
     phase = cmath.exp(1j * coin.delta)

@@ -9,10 +9,16 @@ solution decaying to the left is unique up to scale, and ``lam`` is an
 eigenphase exactly when pushing that solution through the core lands it in
 the contracting eigenspace on the right.  The distance from that eigenspace
 is a scalar residual whose zeros are the eigenphases.
+
+The residual is one forward vector recurrence per phase: the left-decaying
+vector is carried site by site from ``x_minus`` to ``x_plus - 1`` as two
+complex component vectors, so a batch of phases costs a few element-wise
+products per site and no ``2 x 2`` matrix product or solve.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -140,62 +146,50 @@ def in_admissible_set(field: CoinField, lam):
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-def _core_products(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered transfer products through the core, batched over phases.
+def _site_step(coin: Coin, z: np.ndarray, v0: np.ndarray, v1: np.ndarray):
+    """``T_x(lam) v`` with one vector ``(v0, v1)`` per phase and ``z = exp(i*lam)``.
 
-    The forward product applies the site matrices ``0 .. x_plus - 1`` in
-    ascending order; the backward product applies the site inverses
-    ``-1 .. x_minus`` in descending order.
+    ``T_x = [[e, -beta], [-conj(beta), conj(e)]] / alpha`` with
+    ``e = exp(i*(lam - delta))``; the diagonal entries are ``z`` and
+    ``conj(z)`` times per-site scalars, so a site costs four complex
+    products per phase and no matrix is formed.
     """
-    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), lams.shape + (2, 2))
-    t_plus = eye
-    for x in range(0, field.x_plus):
-        t_plus = transfer_matrix(field.coin(x), lams) @ t_plus
-    t_minus = eye
-    for x in range(-1, field.x_minus - 1, -1):
-        t_minus = transfer_inverse(field.coin(x), lams) @ t_minus
-    return np.ascontiguousarray(t_plus), np.ascontiguousarray(t_minus)
-
-
-def boundary_products(field: CoinField, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two ``(2, 2)`` core products at a single phase."""
-    t_plus, t_minus = _core_products(field, np.array([float(lam)]))
-    return t_plus[0], t_minus[0]
-
-
-def _solve2(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched 2x2 solve via the adjugate."""
-    a, b = mats[..., 0, 0], mats[..., 0, 1]
-    c, d = mats[..., 1, 0], mats[..., 1, 1]
-    det = a * d - b * c
-    return np.stack(
-        [(d * rhs[..., 0] - b * rhs[..., 1]) / det,
-         (a * rhs[..., 1] - c * rhs[..., 0]) / det],
-        axis=-1,
-    )
+    a = coin.alpha
+    e = z * (cmath.exp(-1j * coin.delta) / a)
+    f = z.conjugate() * (cmath.exp(1j * coin.delta) / a)
+    return e * v0 - (coin.beta / a) * v1, f * v1 - (coin.beta.conjugate() / a) * v0
 
 
 def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and unit matching generators, batched over admissible phases.
 
-    The generator ``phi`` spans the solutions that decay to the left; the
-    residual is how far the core pushes ``phi`` from the contracting
-    eigenspace on the right.  Zero residual certifies an eigenphase.
+    The generator ``phi`` spans the solutions that decay to the left: the
+    kernel vector of ``T_left - zeta_out`` carried forward through the sites
+    ``x_minus .. -1`` and normalised.  The residual is how far the sites
+    ``0 .. x_plus - 1`` push ``phi`` from the contracting eigenspace on the
+    right, ``|(T_right - zeta_in) T_{x_plus-1} .. T_0 phi|``.  Zero residual
+    certifies an eigenphase.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    t_plus, t_minus = _core_products(field, lams)
+    z = np.exp(1j * lams)
     shifted = transfer_matrix(field.left, lams)
     zeta_out = expanding_zeta(field.left, lams)
     shifted[..., 0, 0] -= zeta_out
     shifted[..., 1, 1] -= zeta_out
-    phi = _solve2(t_minus, kernel_vectors(shifted))
-    phi = phi / np.linalg.norm(phi, axis=-1, keepdims=True)
-    landing = transfer_matrix(field.right, lams)
+    k = kernel_vectors(shifted)
+    v0, v1 = k[..., 0], k[..., 1]
+    for x in range(field.x_minus, 0):
+        v0, v1 = _site_step(field.coin(x), z, v0, v1)
+    n = np.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
+    v0, v1 = v0 / n, v1 / n
+    phi = np.stack((v0, v1), axis=-1)
+    for x in range(0, field.x_plus):
+        v0, v1 = _site_step(field.coin(x), z, v0, v1)
     zeta_in = contracting_zeta(field.right, lams)
-    landing[..., 0, 0] -= zeta_in
-    landing[..., 1, 1] -= zeta_in
-    w = (landing @ (t_plus @ phi[..., None]))[..., 0]
-    return np.linalg.norm(w, axis=-1), phi
+    w0, w1 = _site_step(field.right, z, v0, v1)
+    w0 -= zeta_in * v0
+    w1 -= zeta_in * v1
+    return np.sqrt(abs(w0) ** 2 + abs(w1) ** 2), phi
 
 
 def eigen_residual(field: CoinField, lam: float) -> float:
@@ -461,8 +455,11 @@ class EigenPair:
 def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     """Reconstruct the (unique up to phase) unit eigenvector at an eigenphase.
 
-    The global phase is fixed by making the largest-modulus component of the
-    matching generator real and positive.
+    The global phase is fixed by making the first component of the matching
+    generator real and positive.  Every transfer matrix preserves the flux
+    ``|v0|**2 - |v1|**2``, which a square-summable solution has at zero, so
+    both components of the generator have modulus ``1/sqrt(2)``: neither is
+    ever zero, and neither is larger except by rounding.
     """
     lam = float(lam) % TWO_PI
     if not in_admissible_set(field, lam):
@@ -471,8 +468,7 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     if res[0] >= RESIDUAL_ACCEPT:
         raise NoEigenvalueError(f"residual {res[0]:.3e} at phase {lam!r} is too large")
     phi = phi[0]
-    k = int(np.argmax(np.abs(phi)))
-    phi = phi * (phi[k].conjugate() / abs(phi[k]))
+    phi = phi * (phi[0].conjugate() / abs(phi[0]))
     zeta_in = complex(contracting_zeta(field.right, lam))
     zeta_out = complex(expanding_zeta(field.left, lam))
     x_m, x_p = field.x_minus, field.x_plus

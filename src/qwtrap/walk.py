@@ -28,10 +28,6 @@ import numpy as np
 from .algebra import Coin, coin_matrix
 
 
-class WindowOverflowError(RuntimeError):
-    """Nonzero amplitude would be shifted off a fixed lattice window."""
-
-
 @dataclass(frozen=True)
 class CoinField:
     """Site-dependent coins, constant outside the core ``(x_minus, x_plus)``.
@@ -169,18 +165,6 @@ def _coin_coefficients(field: CoinField, lo: int, hi: int) -> np.ndarray:
 def step(state: WalkState, field: CoinField) -> WalkState:
     """One application of ``U = S C``; the window grows by one site per side."""
     return WalkState(state.lo - 1, evolve(state, field, 1).amps[1:-1])
-
-
-def _shift_fixed(mixed: np.ndarray) -> np.ndarray:
-    """Shift on a fixed window; edge amplitudes must be exactly zero."""
-    if mixed[0, 0] != 0 or mixed[-1, 1] != 0:
-        raise WindowOverflowError("amplitude reached the window edge")
-    out = np.empty_like(mixed)
-    out[:-1, 0] = mixed[1:, 0]
-    out[-1, 0] = 0.0
-    out[1:, 1] = mixed[:-1, 1]
-    out[0, 1] = 0.0
-    return out
 
 
 def _propagate(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coin, random_field, random_unit_psi
-from qwtrap.algebra import TWO_PI, make_coin
+from qwtrap.algebra import TWO_PI, kernel_vectors, make_coin
 from qwtrap.figures import PRESETS, preset
 from qwtrap.spectral import (
     DEDUPE_TOL,
@@ -18,9 +18,9 @@ from qwtrap.spectral import (
     NoEigenvalueError,
     NotInAdmissibleSetError,
     _golden_min,
+    _residual_core,
     admissible_arcs,
     analyze,
-    boundary_products,
     build_eigenvector,
     contracting_zeta,
     discriminant,
@@ -35,7 +35,7 @@ from qwtrap.spectral import (
     transfer_matrix,
     trapped_mass,
 )
-from qwtrap.walk import WalkState, evolve, uniform_field
+from qwtrap.walk import CoinField, WalkState, evolve, uniform_field
 
 R = 1.0 / math.sqrt(2.0)
 HADAMARD = make_coin(R, R)
@@ -252,16 +252,99 @@ def test_eigenvector_geometric_decay(spectral_of):
                 assert got == pytest.approx(base_m * rho**-k, rel=1e-12)
 
 
+def _reference_residual(field, lams):
+    """The matrix-product matching residual, batched over admissible phases.
+
+    Builds the ordered core products ``t_plus = T_{x_plus-1} .. T_0`` and
+    ``t_minus = T_{x_minus}^-1 .. T_{-1}^-1``, solves ``t_minus phi = k`` for
+    the kernel vector ``k`` of ``T_left - zeta_out`` and normalises ``phi``.
+    Returns the residual ``|landing t_plus phi|``, ``phi``, the landing
+    matrix ``T_right - zeta_in`` and ``t_plus``.
+    """
+    eye = np.eye(2, dtype=np.complex128)
+    t_plus = np.broadcast_to(eye, lams.shape + (2, 2))
+    for x in range(0, field.x_plus):
+        t_plus = transfer_matrix(field.coin(x), lams) @ t_plus
+    t_minus = np.broadcast_to(eye, lams.shape + (2, 2))
+    for x in range(-1, field.x_minus - 1, -1):
+        t_minus = transfer_inverse(field.coin(x), lams) @ t_minus
+    shifted = transfer_matrix(field.left, lams) - expanding_zeta(field.left, lams)[:, None, None] * eye
+    phi = np.linalg.solve(t_minus, kernel_vectors(shifted)[..., None])[..., 0]
+    phi /= np.linalg.norm(phi, axis=-1, keepdims=True)
+    landing = transfer_matrix(field.right, lams) - contracting_zeta(field.right, lams)[:, None, None] * eye
+    w = (landing @ (t_plus @ phi[..., None]))[..., 0]
+    return np.linalg.norm(w, axis=-1), phi, landing, t_plus
+
+
+def _near_threshold_field(rng, width):
+    """Random field of core ``width`` whose coins all have |alpha| in [0.99, 0.9999].
+
+    The two asymptotic coins share ``delta``, so their narrow hyperbolic arcs
+    overlap and the field has an admissible set.
+    """
+
+    def coin(d):
+        a, pa, pb = rng.uniform(0.99, 0.9999), *rng.uniform(0.0, TWO_PI, size=2)
+        return make_coin(a * np.exp(1j * pa), math.sqrt(1.0 - a * a) * np.exp(1j * pb), d)
+
+    x_minus = -int(rng.integers(1, width + 1))
+    middle = tuple(coin(rng.uniform(0.0, TWO_PI)) for _ in range(width))
+    d = rng.uniform(0.0, TWO_PI)
+    return CoinField(x_minus, x_minus + width + 1, middle, coin(d), coin(d))
+
+
+def _residual_test_phases(field):
+    """200 samples across each admissible arc plus the field's eigenphases."""
+    lams = [np.asarray(find_eigenphases(field))]
+    for s, e in admissible_arcs(field):
+        lams.append((s + (e - s) * (np.arange(200) + 0.5) / 200) % TWO_PI)
+    lams = np.concatenate(lams)
+    return lams[in_admissible_set(field, lams)]
+
+
+def _residual_reference_fields():
+    rng = np.random.default_rng(4242)
+    near = [_near_threshold_field(rng, 1 + k % 9) for k in range(30)]
+    return [p.field() for p in PRESETS] + _wide_core_fields() + near
+
+
+def test_residual_recurrence_matches_matrix_products():
+    # presets, the wide random cores and near-threshold cores (|alpha| -> 1)
+    for k, field in enumerate(_residual_reference_fields()):
+        lams = _residual_test_phases(field)
+        if not lams.size:
+            continue
+        res, phi = _residual_core(field, lams)
+        ref, ref_phi, landing, t_plus = _reference_residual(field, lams)
+        scale = np.linalg.norm(landing, 2, axis=(-2, -1)) * np.linalg.norm(t_plus, 2, axis=(-2, -1))
+        assert np.all(np.abs(res - ref) <= 1e-12 * scale), (k, np.max(np.abs(res - ref) / scale))
+        # Re<phi_ref, phi> <= |<phi_ref, phi>|, so this also pins phi's phase:
+        # the left cut site x_minus only multiplies phi by zeta_out / |zeta_out|
+        align = np.sum(ref_phi.conj() * phi, axis=-1).real
+        assert np.all(1.0 - align <= 1e-14), (k, np.max(1.0 - align))
+
+
 def test_eigenphase_kernel_is_one_dimensional(spectral_of):
     # rank-1 matching matrix certifies a simple eigenvalue
     for fig_id in EXPECTED_COUNTS:
         field = preset(fig_id).field()
         for pair in spectral_of(fig_id).eigenpairs:
-            landing = transfer_matrix(field.right, pair.lam) - pair.zeta_in * np.eye(2)
-            t_plus, _ = boundary_products(field, pair.lam)
-            s = np.linalg.svd(landing @ t_plus, compute_uv=False)
+            _, _, landing, t_plus = _reference_residual(field, np.array([pair.lam]))
+            s = np.linalg.svd(landing[0] @ t_plus[0], compute_uv=False)
             assert s[0] > 1e-6
             assert s[1] <= 1e-6 * s[0], f"fig{fig_id} lam={pair.lam}"
+
+
+def test_eigenvector_phase_convention():
+    # the transfer recurrence conserves |v0|^2 - |v1|^2, which is zero on a
+    # square-summable solution, so the generator's two moduli are equal and
+    # its first component, made real and positive, fixes the global phase
+    fields = [p.field() for p in PRESETS] + _wide_core_fields()[:30]
+    for k, field in enumerate(fields):
+        for lam in find_eigenphases(field):
+            phi = build_eigenvector(field, lam).phi
+            assert abs(abs(phi[0]) - abs(phi[1])) <= 1e-12, (k, lam)
+            assert phi[0].real > 0.0 and abs(phi[0].imag) <= 1e-15, (k, lam, phi)
 
 
 def test_build_eigenvector_rejects_non_eigenphase():
