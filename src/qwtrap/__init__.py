@@ -26,7 +26,6 @@ from .algebra import (
     Coin,
     TWO_PI,
     coin_matrix,
-    eig2,
     make_coin,
     mat2,
     vec2,
@@ -97,7 +96,6 @@ __all__ = [
     "Coin",
     "TWO_PI",
     "coin_matrix",
-    "eig2",
     "make_coin",
     "mat2",
     "vec2",

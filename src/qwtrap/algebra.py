@@ -1,9 +1,7 @@
 """Validated coin parameters and closed-form 2x2 complex linear algebra.
 
 Everything in this module is pure and allocation-light: coins are frozen
-dataclasses, matrices are plain ``(2, 2)`` complex numpy arrays, and the
-eigensolver solves the characteristic quadratic directly, which is exact to
-rounding at this size.
+dataclasses and matrices are plain ``(2, 2)`` complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ import numpy as np
 
 #: Tolerance for constructor-level invariants (unit coin rows, unit states).
 VALIDATE_TOL = 1e-12
-#: Residual guarantee of the closed-form 2x2 eigensolver.
-EIG_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,30 +89,18 @@ def kernel_vectors(mats: np.ndarray) -> np.ndarray:
     ``mats`` has shape ``(..., 2, 2)`` and the result ``(..., 2)``.  The row
     with the larger 1-norm supplies the constraint, so a vanishing row never
     contaminates the result; for the zero matrix every direction works and
-    ``e1`` is returned.
+    ``e1`` is returned.  The first component is made real and nonnegative, so
+    smooth entries give a smooth vector where it is nonzero, across row switches.
     """
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     use_top = (np.abs(a) + np.abs(b)) >= (np.abs(c) + np.abs(d))
-    v = np.stack([np.where(use_top, b, d), np.where(use_top, -a, -c)], axis=-1)
+    v0, v1 = np.where(use_top, b, d), np.where(use_top, -a, -c)
+    r = np.abs(v0)
+    turn = np.divide(v0.conjugate(), r, out=np.ones_like(v0), where=r > 0.0)
+    v = np.stack([r, turn * v1], axis=-1)
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     if not n.all():
         zero = n == 0.0
         v, n = np.where(zero, vec2(1.0, 0.0), v), np.where(zero, 1.0, n)
     return v / n
-
-
-def eig2(m: np.ndarray) -> tuple[complex, np.ndarray, complex, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of a 2x2 complex matrix, closed form.
-
-    Returns ``(value1, vector1, value2, vector2)``.  For a defective matrix
-    the two values coincide and the vectors may coincide as well.
-    """
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
-    tr = a + d
-    disc = cmath.sqrt(tr * tr - 4.0 * (a * d - b * c))
-    z1 = 0.5 * (tr + disc)
-    z2 = 0.5 * (tr - disc)
-    v1, v2 = kernel_vectors(np.array([mat2(a - z, b, c, d - z) for z in (z1, z2)]))
-    return z1, v1, z2, v2

@@ -1,4 +1,4 @@
-"""Coin validation and the closed-form 2x2 eigensolver."""
+"""Coin validation, coin matrices and batched 2x2 kernel vectors."""
 
 import math
 
@@ -12,7 +12,7 @@ from qwtrap.algebra import (
     TWO_PI,
     Coin,
     coin_matrix,
-    eig2,
+    kernel_vectors,
     make_coin,
     mat2,
     vec2,
@@ -71,35 +71,41 @@ def test_coin_matrix_determinant_is_pure_phase(rng):
         assert det == pytest.approx(np.exp(2j * c.delta), abs=1e-12)
 
 
-def test_eig2_reconstruction_random(rng):
-    for _ in range(500):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        bound = 1e-10 * (1.0 + float(np.linalg.norm(m)))
-        z1, v1, z2, v2 = eig2(m)
-        assert float(np.linalg.norm(m @ v1 - z1 * v1)) <= bound
-        assert float(np.linalg.norm(m @ v2 - z2 * v2)) <= bound
-        assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
+def test_kernel_vectors_annihilate_rank_one_matrices(rng):
+    # m - z for each eigenvalue z of a random complex m, all in one batch
+    m = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    shifted = m[:, None] - np.linalg.eigvals(m)[..., None, None] * np.eye(2)
+    v = kernel_vectors(shifted)
+    bound = 1e-10 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))[:, None]
+    assert np.all(np.linalg.norm((shifted @ v[..., None])[..., 0], axis=-1) <= bound)
+    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
+    assert np.all(v[..., 0].imag == 0.0) and np.all(v[..., 0].real >= 0.0)
 
 
-def test_eig2_diagonal():
-    z1, v1, z2, v2 = eig2(mat2(3.0, 0.0, 0.0, -2.0))
-    assert {complex(z1), complex(z2)} == {3.0 + 0j, -2.0 + 0j}
+def test_kernel_vectors_defective_shear():
+    # [[1, 1], [0, 1]] - 1 has a zero row and the one-dimensional kernel e1
+    v = kernel_vectors(mat2(0.0, 1.0, 0.0, 0.0))
+    assert v[0] == 1.0 and abs(v[1]) <= 1e-12
 
 
-def test_eig2_defective_shear():
-    # [[1, 1], [0, 1]] has a double eigenvalue with a 1-dim eigenspace
-    z1, v1, z2, v2 = eig2(mat2(1.0, 1.0, 0.0, 1.0))
-    assert z1 == pytest.approx(1.0, abs=1e-12)
-    assert z2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(v1[1]) <= 1e-12
+def test_kernel_vectors_zero_matrix_returns_e1():
+    # every vector is in the kernel; the zero matrix falls back to e1
+    v = kernel_vectors(np.zeros((3, 2, 2), dtype=np.complex128))
+    assert np.array_equal(v, np.tile([1.0, 0.0], (3, 1)))
 
 
-def test_eig2_scalar_matrix_returns_e1():
-    # every vector is an eigenvector; the zero kernel matrix falls back to e1
-    z1, v1, z2, v2 = eig2(mat2(2.0, 0.0, 0.0, 2.0))
-    assert z1 == z2 == 2.0
-    assert np.array_equal(v1, [1.0, 0.0]) and np.array_equal(v2, [1.0, 0.0])
+def test_kernel_vectors_phase_is_continuous_across_row_switch():
+    # the constraint row switches where the two row norms cross; the unit
+    # kernel ray is smooth there, and with its first component made real
+    # and positive so is the vector itself
+    t = np.linspace(-1e-3, 1e-3, 21)
+    rows = np.array([[1.0, 1j], [1j, -1.0]]) * np.exp(1j * t)[:, None, None]
+    rows[:, 0] *= 1.0 + t[:, None]
+    v = kernel_vectors(rows)
+    top = np.abs(rows[:, 0]).sum(axis=-1) >= np.abs(rows[:, 1]).sum(axis=-1)
+    assert top.any() and not top.all()
+    assert np.max(np.abs(np.diff(v, axis=0))) <= 1e-12
+    assert np.allclose(v, [R, 1j * R], atol=1e-15)
 
 
 def test_vec2_mat2_shapes():
@@ -124,15 +130,6 @@ def test_coin_matrix_unitary_property(th, pa, pb, d):
     m = coin_matrix(c)
     assert float(np.max(np.abs(m @ m.conj().T - np.eye(2)))) <= 1e-12
     assert 0.0 <= c.delta < TWO_PI
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(min_value=-5, max_value=5), min_size=8, max_size=8))
-def test_eig2_trace_and_det_property(vals):
-    m = np.array(vals[:4]).reshape(2, 2) + 1j * np.array(vals[4:]).reshape(2, 2)
-    z1, _, z2, _ = eig2(m)
-    assert z1 + z2 == pytest.approx(np.trace(m), abs=1e-9)
-    assert z1 * z2 == pytest.approx(np.linalg.det(m), abs=1e-9)
 
 
 def test_coin_is_frozen():
