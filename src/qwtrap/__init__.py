@@ -27,8 +27,6 @@ from .algebra import (
     TWO_PI,
     coin_matrix,
     make_coin,
-    mat2,
-    vec2,
 )
 from .walk import (
     CoinField,
@@ -97,8 +95,6 @@ __all__ = [
     "TWO_PI",
     "coin_matrix",
     "make_coin",
-    "mat2",
-    "vec2",
     "CoinField",
     "Distribution",
     "WalkState",

@@ -63,23 +63,15 @@ def make_coin(alpha, beta, delta: float = 0.0) -> Coin:
     return Coin(alpha, beta, delta)
 
 
-def vec2(a, b) -> np.ndarray:
-    return np.array([a, b], dtype=np.complex128)
-
-
-def mat2(a, b, c, d) -> np.ndarray:
-    """Row-major 2x2 complex matrix ``[[a, b], [c, d]]``."""
-    return np.array([[a, b], [c, d]], dtype=np.complex128)
-
-
 def coin_matrix(coin: Coin) -> np.ndarray:
     """The unitary matrix ``exp(i*delta) [[alpha, beta], [-conj(beta), conj(alpha)]]``."""
     phase = cmath.exp(1j * coin.delta)
-    return mat2(
-        phase * coin.alpha,
-        phase * coin.beta,
-        -phase * coin.beta.conjugate(),
-        phase * coin.alpha.conjugate(),
+    return np.array(
+        [
+            [phase * coin.alpha, phase * coin.beta],
+            [-phase * coin.beta.conjugate(), phase * coin.alpha.conjugate()],
+        ],
+        dtype=np.complex128,
     )
 
 
@@ -102,5 +94,5 @@ def kernel_vectors(mats: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     if not n.all():
         zero = n == 0.0
-        v, n = np.where(zero, vec2(1.0, 0.0), v), np.where(zero, 1.0, n)
+        v, n = np.where(zero, np.array([1.0, 0.0], dtype=np.complex128), v), np.where(zero, 1.0, n)
     return v / n

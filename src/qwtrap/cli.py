@@ -38,6 +38,7 @@ import argparse
 import configparser
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -55,17 +56,16 @@ from .spectral import (
 from .models import (
     FAMILY_ROLES,
     MODEL_FUNCTIONS,
+    UNIT_PSI_TOL,
     ConstraintError,
     DegeneracyError,
     ModelReport,
     family_report,
 )
 from .figures import PRESETS, FigurePreset, preset as figure_preset
-from .verification import run_all, write_reports
+from .verification import DEFAULT_WINDOW, run_all, write_reports
 
 DEFAULT_STEPS = 70
-DEFAULT_HORIZON = 2000
-DEFAULT_WINDOW = 20
 
 #: representative figure per closed-form family, used when ``model`` runs
 #: without a config file
@@ -94,7 +94,7 @@ def _parse_psi(text: str) -> tuple[complex, complex]:
         raise ValueError(f"--psi: expected four numbers 're,im,re,im', got {text!r}") from None
     q1, q2 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
     nrm = abs(q1) ** 2 + abs(q2) ** 2
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > UNIT_PSI_TOL:
         raise ValueError(f"--psi: state must have unit norm, got ||psi||^2 = {nrm:.6g}")
     return q1, q2
 
@@ -191,13 +191,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _sibling(path: str | None, suffix: str) -> str | None:
-    """Derive a secondary output path: stem + suffix, or None for stdout."""
+    """Derive a secondary output path, ``suffix`` before the extension, or None for stdout."""
     if path is None:
         return None
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + suffix
-    return f"{stem}{suffix}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}{suffix}{ext}"
 
 
 def _csv_table(header: str, rows) -> str:
@@ -264,8 +262,7 @@ def _maybe_svg(args: argparse.Namespace, xs, masses, title: str) -> None:
         return
     if args.out is None:
         raise ValueError("--svg needs --out to derive the chart path")
-    stem = args.out.rpartition(".")[0] or args.out
-    _write_text(stem + ".svg", _svg_bars(list(xs), list(masses), title))
+    _write_text(os.path.splitext(args.out)[0] + ".svg", _svg_bars(list(xs), list(masses), title))
 
 
 def _trimmed(dist: Distribution) -> Distribution:
@@ -403,10 +400,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_all(
-        horizon=args.horizon if args.horizon is not None else DEFAULT_HORIZON,
-        window=args.window,
-    )
+    horizon = {} if args.horizon is None else {"horizon": args.horizon}
+    reports = run_all(window=args.window, **horizon)
     buf = io.StringIO()
     write_reports(reports, buf)
     _write_text(args.out, buf.getvalue())

@@ -155,9 +155,6 @@ class ModelReport:
     def norm_corrections(self) -> tuple[float, ...]:
         return tuple(f.norm_correction for f in self.closed_forms)
 
-    def eigenvector(self, k: int, x: int) -> np.ndarray:
-        return self.vectors[k].value(x)
-
     def limit_window(self, lo: int, hi: int) -> Distribution:
         """Closed-form limit distribution of the stored state on a window."""
         p1, p2 = self.psi

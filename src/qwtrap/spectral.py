@@ -319,20 +319,18 @@ def _intersect_arcs(
     return sorted(out)
 
 
-def find_eigenphases(field: CoinField, grid_points: int = DEFAULT_GRID) -> list[float]:
+def find_eigenphases(field: CoinField) -> list[float]:
     """All eigenphases in ``[0, 2*pi)``, sorted ascending.
 
     Samples the residual once over each closed-form admissible arc, at
-    spacing ``2*pi / grid_points`` with 17 to 4001 samples per arc, so arcs
+    spacing ``2*pi / DEFAULT_GRID`` with 17 to 4001 samples per arc, so arcs
     narrower than the spacing are still seen.  Every local minimum is
     bracketed by its neighbours (the arc ends at the edges).  All brackets
     are refined together by :func:`_section_search` to width
     ``DEFAULT_REFINE_TOL`` and :func:`_polish` inside the sampled bracket,
     and the phases whose residual certifies an eigenphase are kept.
     """
-    if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
-    h = TWO_PI / grid_points
+    h = TWO_PI / DEFAULT_GRID
     lo, hi = [np.empty(0)], [np.empty(0)]
     for s, e in _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left)):
         n = max(17, min(4001, 2 * int((e - s) / h) + 1))
@@ -456,52 +454,25 @@ class GeometricVector:
             need = max(need, math.ceil(math.log(eps * (1 - 1 / rho) / (2 * q), 1 / rho)))
         return int(need)
 
-    def to_state(self, lo: int, hi: int, renormalize: bool = True) -> WalkState:
-        """Sample onto a window, optionally renormalizing the truncation."""
-        vals = self.values(lo, hi)
-        if renormalize:
-            n = math.sqrt(float(np.sum(np.abs(vals) ** 2)))
-            if n > 0.0:
-                vals = vals / n
-        return WalkState(lo, vals)
-
 
 @dataclass(frozen=True)
 class EigenPair:
-    """An eigenphase with the data needed to reconstruct its eigenvector.
+    """An eigenphase, its matching generator and its eigenvector.
 
-    ``middle_tilde`` holds the reshaped solution on the core sites
-    ``x_minus .. x_plus``; outside the core it continues geometrically with
-    ratios ``zeta_in`` (right) and ``zeta_out`` (left).  ``norm_factor``
-    scales the reconstruction to unit total norm, computed in closed form.
+    ``phi`` is the unit reshaped solution ``[psi_L(-1), psi_R(0)]`` at site
+    0, and ``raw`` the walker-space eigenvector the transfer recurrence
+    builds from it.  ``norm_factor`` scales ``raw`` to unit total norm,
+    computed in closed form.
     """
 
     lam: float
-    zeta_in: complex
-    zeta_out: complex
     phi: np.ndarray
-    middle_tilde: np.ndarray
+    raw: GeometricVector
     norm_factor: float
-    x_minus: int
-    x_plus: int
 
     def vector(self) -> GeometricVector:
         """The unit-norm eigenvector in walker space."""
-        t = self.middle_tilde
-        x_m, x_p = self.x_minus, self.x_plus
-        nf = self.norm_factor
-        plus_coef = nf * np.array([self.zeta_in * t[-1, 0], t[-1, 1]]) * self.zeta_in ** (-x_p)
-        minus_coef = nf * np.array([self.zeta_out * t[0, 0], t[0, 1]]) * self.zeta_out ** (-x_m)
-        middle = np.stack((t[2:, 0], t[1:-1, 1]), axis=-1)
-        return GeometricVector(
-            plus_cut=x_p,
-            minus_cut=x_m,
-            zeta_in=self.zeta_in,
-            zeta_out=self.zeta_out,
-            plus_coef=plus_coef,
-            minus_coef=minus_coef,
-            middle=nf * middle,
-        )
+        return self.raw.scaled(self.norm_factor)
 
 
 def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
@@ -512,6 +483,10 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     ``|v0|**2 - |v1|**2``, which a square-summable solution has at zero, so
     both components of the generator have modulus ``1/sqrt(2)``: neither is
     ever zero, and neither is larger except by rounding.
+
+    The reshaped solution ``tilde`` holds ``[psi_L(x-1), psi_R(x)]`` on the
+    core sites ``x_minus .. x_plus``; outside the core it continues
+    geometrically with ratios ``zeta_in`` (right) and ``zeta_out`` (left).
     """
     lam = float(lam) % TWO_PI
     if not in_admissible_set(field, lam):
@@ -531,22 +506,20 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
         tilde[i0 + x + 1] = transfer_matrix(field.coin(x), lam) @ tilde[i0 + x]
     for x in range(-1, x_m - 1, -1):
         tilde[i0 + x] = transfer_inverse(field.coin(x), lam) @ tilde[i0 + x + 1]
-    r = abs(zeta_in) ** 2
-    rho = abs(zeta_out) ** 2
-    total = (
-        float(np.sum(np.abs(tilde[1:-1]) ** 2))
-        + float(np.sum(np.abs(tilde[-1]) ** 2)) / (1.0 - r)
-        + float(np.sum(np.abs(tilde[0]) ** 2)) / (1.0 - 1.0 / rho)
+    raw = GeometricVector(
+        plus_cut=x_p,
+        minus_cut=x_m,
+        zeta_in=zeta_in,
+        zeta_out=zeta_out,
+        plus_coef=np.array([zeta_in * tilde[-1, 0], tilde[-1, 1]]) * zeta_in ** (-x_p),
+        minus_coef=np.array([zeta_out * tilde[0, 0], tilde[0, 1]]) * zeta_out ** (-x_m),
+        middle=np.stack((tilde[2:, 0], tilde[1:-1, 1]), axis=-1),
     )
     return EigenPair(
         lam=lam,
-        zeta_in=zeta_in,
-        zeta_out=zeta_out,
         phi=phi,
-        middle_tilde=tilde,
-        norm_factor=1.0 / math.sqrt(total),
-        x_minus=x_m,
-        x_plus=x_p,
+        raw=raw,
+        norm_factor=1.0 / math.sqrt(raw.norm_sq_total()),
     )
 
 
@@ -617,8 +590,8 @@ class SpectralReport:
     strongly_trapped: bool
 
 
-def analyze(field: CoinField, grid_points: int = DEFAULT_GRID) -> SpectralReport:
+def analyze(field: CoinField) -> SpectralReport:
     """Locate all eigenphases, build their eigenvectors, classify trapping."""
-    phases = find_eigenphases(field, grid_points)
+    phases = find_eigenphases(field)
     pairs = tuple(build_eigenvector(field, lam) for lam in phases)
     return SpectralReport(pairs, admissible_arcs(field), is_strongly_trapped(pairs))

@@ -26,7 +26,6 @@ from .spectral import (
     find_eigenphases,  # noqa: F401  (bench/test_bench.py reaches the solver through this module)
     limit_distribution,
     trapped_mass,
-    DEFAULT_GRID,
     EigenPair,
     NotInAdmissibleSetError,
 )
@@ -94,7 +93,6 @@ def check_limit_vs_simulation(
     window: int = DEFAULT_WINDOW,
     threshold: float = LIMIT_VS_SIM_THRESHOLD,
     label: str = "",
-    grid_points: int = DEFAULT_GRID,
 ) -> CheckReport:
     """Finite-horizon time average against the spectral limit distribution.
 
@@ -103,7 +101,7 @@ def check_limit_vs_simulation(
     empty point spectrum makes it identically zero, so the check also
     covers the escaping (zero trapped mass) cases.
     """
-    pairs = analyze(field, grid_points).eigenpairs
+    pairs = analyze(field).eigenpairs
     return _limit_gap(field, psi, pairs, horizon, window, threshold, label)
 
 
@@ -125,10 +123,10 @@ def _limit_gap(
     return CheckReport("limit_vs_simulation", label, metric, threshold)
 
 
-def check_trapping_table(grid_points: int = DEFAULT_GRID) -> tuple[CheckReport, ...]:
+def check_trapping_table() -> tuple[CheckReport, ...]:
     """Origin-rank trapping verdicts against the expected classification."""
     return tuple(
-        _trapping_row(preset, analyze(preset.field(), grid_points).strongly_trapped)
+        _trapping_row(preset, analyze(preset.field()).strongly_trapped)
         for preset in PRESETS
     )
 
@@ -141,7 +139,6 @@ def _trapping_row(preset: FigurePreset, strongly_trapped: bool) -> CheckReport:
 def run_all(
     horizon: int = DEFAULT_HORIZON,
     window: int = DEFAULT_WINDOW,
-    grid_points: int = DEFAULT_GRID,
 ) -> tuple[CheckReport, ...]:
     """Full battery over the figure catalogue, canonically ordered."""
     reports: list[CheckReport] = []
@@ -151,7 +148,7 @@ def run_all(
         rep = preset.report()
         reports.extend(check_eigen_residuals(field, rep.eigenphases, label))
 
-        spectrum = analyze(field, grid_points)
+        spectrum = analyze(field)
         pairs = spectrum.eigenpairs
         found = [p.lam for p in pairs]
         if len(found) == len(rep.eigenphases):

@@ -132,7 +132,7 @@ def test_a03_solver_completeness(closed_of, spectral_of):
 
 def _fixed_point_residual(field, lam, vec):
     h = vec.tail_halfwidth(1e-16)
-    state = vec.to_state(-h - 2, h + 2, renormalize=False)
+    state = WalkState(-h - 2, vec.values(-h - 2, h + 2))
     out = evolve(state, field, 1)
     phase = cmath.exp(1j * lam)
     return max(

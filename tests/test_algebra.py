@@ -14,8 +14,6 @@ from qwtrap.algebra import (
     coin_matrix,
     kernel_vectors,
     make_coin,
-    mat2,
-    vec2,
 )
 
 R = 1.0 / math.sqrt(2.0)
@@ -84,7 +82,7 @@ def test_kernel_vectors_annihilate_rank_one_matrices(rng):
 
 def test_kernel_vectors_defective_shear():
     # [[1, 1], [0, 1]] - 1 has a zero row and the one-dimensional kernel e1
-    v = kernel_vectors(mat2(0.0, 1.0, 0.0, 0.0))
+    v = kernel_vectors(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
     assert v[0] == 1.0 and abs(v[1]) <= 1e-12
 
 
@@ -106,12 +104,6 @@ def test_kernel_vectors_phase_is_continuous_across_row_switch():
     assert top.any() and not top.all()
     assert np.max(np.abs(np.diff(v, axis=0))) <= 1e-12
     assert np.allclose(v, [R, 1j * R], atol=1e-15)
-
-
-def test_vec2_mat2_shapes():
-    assert vec2(1, 2).shape == (2,)
-    assert mat2(1, 2, 3, 4).shape == (2, 2)
-    assert mat2(1, 2, 3, 4)[1, 0] == 3.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -191,6 +191,18 @@ def test_figure_outputs_are_reproducible(tmp_path, capsys):
     assert first == second
 
 
+def test_derived_outputs_stay_in_a_dotted_directory(tmp_path, capsys):
+    # the arcs table and the chart take their extension from the file name,
+    # never from a dot in a directory name
+    out = tmp_path / "run.d"
+    out.mkdir()
+    assert run(["figure", "--id", "1", "--steps", "20", "--out", str(out / "fig1"), "--svg"]) == 0
+    assert run(["simulate", "--steps", "20", "--out", str(out / "sim"), "--svg"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["fig1", "fig1.svg", "fig1_arcs", "sim", "sim.svg"]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.d"]
+
+
 def test_figure_csv_content(tmp_path, capsys):
     out = tmp_path / "fig4.csv"
     code = run(["figure", "--id", "4", "--steps", "30", "--window", "10", "--out", str(out)])

@@ -61,7 +61,7 @@ def rand_psi(rng):
 
 def assert_report_consistent(rep, expect_count=None, expect_trapped=None):
     """Full dual-route check of one closed-form report against the solver."""
-    found = find_eigenphases(rep.field, grid_points=20000)
+    found = find_eigenphases(rep.field)
     want = sorted(rep.eigenphases)
     assert len(found) == len(want), (found, want)
     if expect_count is not None:
@@ -172,7 +172,6 @@ def test_model5_fig6_fig7_branches(closed_of):
 
 def test_model_report_accessors(closed_of):
     rep = closed_of(1)
-    assert np.allclose(rep.eigenvector(0, 3), rep.vectors[0].value(3))
     dist = rep.limit_window(-5, 5)
     assert dist.lo == -5 and dist.hi == 5
     assert dist.mass_at(0) == pytest.approx(2.0 / 9.0, abs=1e-12)
@@ -187,7 +186,7 @@ def test_reports_build_eigenvectors_only_on_first_use(monkeypatch):
     rep = preset(1).report()
     assert rep.limit_window(-5, 5).mass_at(0) == pytest.approx(2.0 / 9.0, abs=1e-12)
     with pytest.raises(AssertionError, match="eigenvector built"):
-        rep.eigenvector(0, 0)
+        rep.vectors[0].value(0)
 
 
 def test_limit_window_clamps_roundoff_negatives(closed_of):
@@ -202,20 +201,20 @@ def test_model1_nonexistence_agrees_with_solver():
     assert not rep.exists
     assert rep.eigenphases == ()
     assert rep.trapping_class is TrappingClass.NOT_STRONGLY_TRAPPED
-    assert find_eigenphases(rep.field, grid_points=20000) == []
+    assert find_eigenphases(rep.field) == []
 
 
 def test_model2_nonexistence():
     rep = model2(make_coin(R, R, 0.3), make_coin(R, R, 0.3), (1.0, 0.0))
     assert not rep.exists
     assert rep.branch_plus is False and rep.branch_minus is False
-    assert find_eigenphases(rep.field, grid_points=20000) == []
+    assert find_eigenphases(rep.field) == []
 
 
 def test_model3_nonexistence():
     rep = model3(make_coin(R, R, 0.1), make_coin(R, R, 0.1), (1.0, 0.0))
     assert not rep.exists
-    assert find_eigenphases(rep.field, grid_points=20000) == []
+    assert find_eigenphases(rep.field) == []
 
 
 def test_model4_nonexistence():
@@ -430,7 +429,7 @@ def test_defect_closed_form_random_fields():
             rand_coin(rng, float(rng.uniform(0.0, TWO_PI))),
             rand_coin(rng, float(rng.uniform(0.0, TWO_PI))),
         )
-        found = find_eigenphases(field, grid_points=20000)
+        found = find_eigenphases(field)
         if not found:
             continue
         checked += 1

@@ -22,7 +22,7 @@ WINDOW = 10
 
 @pytest.fixture(scope="module")
 def battery():
-    return run_all(horizon=HORIZON, window=WINDOW, grid_points=20000)
+    return run_all(horizon=HORIZON, window=WINDOW)
 
 
 def test_check_report_pass_semantics():
@@ -82,7 +82,7 @@ def test_eigen_residuals_empty_phase_list(closed_of):
 def test_limit_vs_simulation_single(closed_of):
     rep = closed_of(1)
     check = check_limit_vs_simulation(
-        rep.field, rep.psi, horizon=HORIZON, window=WINDOW, label="fig1", grid_points=20000
+        rep.field, rep.psi, horizon=HORIZON, window=WINDOW, label="fig1"
     )
     assert check.name == "limit_vs_simulation"
     assert check.passed
@@ -90,7 +90,7 @@ def test_limit_vs_simulation_single(closed_of):
 
 
 def test_trapping_table_matches_catalogue():
-    checks = check_trapping_table(grid_points=20000)
+    checks = check_trapping_table()
     assert len(checks) == 7
     assert all(c.passed for c in checks)
     assert [c.label for c in checks] == [f"fig{k}" for k in range(1, 8)]
@@ -110,7 +110,7 @@ def test_run_all_canonical_order(battery):
 
 
 def test_run_all_deterministic(battery):
-    again = run_all(horizon=HORIZON, window=WINDOW, grid_points=20000)
+    again = run_all(horizon=HORIZON, window=WINDOW)
     assert again == battery  # exact float equality, byte-stable output
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_reports(battery, buf_a)
