@@ -28,8 +28,8 @@ overrides the initial state, which is ``(1, 0)`` with a config and the
 preset's state without one.
 
 Exit codes: 0 on success, 1 on invalid input or configuration, 2 on an
-internal numerical degeneracy.  ``verify`` reports check outcomes in its
-output rather than through the exit code.
+internal numerical degeneracy, 3 when ``verify`` ran and any check failed
+(its output still reports every check).
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ from .figures import PRESETS, FigurePreset, preset as figure_preset
 from .verification import DEFAULT_WINDOW, run_all, write_reports
 
 DEFAULT_STEPS = 70
+
+#: exit code of a ``verify`` run in which any check failed
+EXIT_CHECK_FAILED = 3
 
 #: representative figure per closed-form family, used when ``model`` runs
 #: without a config file
@@ -407,7 +410,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _write_text(args.out, buf.getvalue())
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
-    return 0
+    return EXIT_CHECK_FAILED if failed else 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -447,6 +450,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _half_width(text: str) -> int:
+    """``--window`` value: the half-width of a site window, a nonnegative integer."""
+    try:
+        w = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if w < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {w}")
+    return w
+
+
 #: argparse keyword arguments of every flag, by flag name
 _FLAGS = {
     "config": dict(metavar="PATH", help="coin field description file"),
@@ -455,7 +469,7 @@ _FLAGS = {
     "svg": dict(action="store_true", help="also write an SVG bar chart"),
     "steps": dict(type=int, default=DEFAULT_STEPS, metavar="N"),
     "horizon": dict(type=int, default=None, metavar="T"),
-    "window": dict(type=int, default=DEFAULT_WINDOW, metavar="W"),
+    "window": dict(type=_half_width, default=DEFAULT_WINDOW, metavar="W"),
     "id": dict(type=int, default=None, metavar="K"),
     "psi": dict(default=None, metavar="RE,IM,RE,IM", help="initial state at the origin"),
 }

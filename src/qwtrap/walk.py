@@ -8,14 +8,18 @@ allocates it once up front.
 
 One kernel, ``_propagate``, serves :func:`evolve` and :func:`time_averaged`.
 It keeps the coin entries ``a, b, c, d`` and the left- and right-mover
-amplitudes as contiguous vectors over the window, and each step updates
-only the light cone of the initial support, which grows by one site per
-side.  ``t`` steps from a point state cost about ``t**2`` site updates,
-against ``2 t**2`` on the full window; :func:`time_averaged` likewise adds
-only each cone's masses.  Numpy's complex product rounds differently from
-a ``2 x 2`` matrix product, so the amplitudes agree with a full-window
-``einsum`` kernel to ``t * eps`` (``eps`` = 2.2e-16) per entry, and time
-averages to 1e-13, not bit for bit.
+amplitudes as contiguous vectors over the window.  Each step updates the
+light cone of the initial support plus a margin of up to ``_MARGIN`` = 64
+sites per side, and the views it works on are rebuilt only when the cone
+reaches the margin's edge.  That is exact, as past the cone the coin
+products keep zeros zero, and faster, as a step's cost is mostly fixed:
+slicing the cone anew took about 20 slices (0.25 us each) next to six ufunc
+calls (0.8 us each).  ``t`` steps from a point state cost about ``t**2``
+site updates, against ``2 t**2`` on the full window; :func:`time_averaged`
+likewise adds only the updated sites' masses.  Numpy's complex product
+rounds differently from a ``2 x 2`` matrix product, so the amplitudes agree
+with a full-window ``einsum`` kernel to ``t * eps`` (``eps`` = 2.2e-16) per
+entry, and time averages to 1e-13, not bit for bit.
 """
 
 from __future__ import annotations
@@ -167,6 +171,10 @@ def step(state: WalkState, field: CoinField) -> WalkState:
     return WalkState(state.lo - 1, evolve(state, field, 1).amps[1:-1])
 
 
+#: sites per side by which ``_propagate``'s region outgrows the light cone
+_MARGIN = 64
+
+
 def _propagate(
     initial: WalkState, field: CoinField, t: int
 ) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
@@ -174,8 +182,10 @@ def _propagate(
 
     Yields ``(lo, cone, left, right)``: ``left[k]`` and ``right[k]`` are the
     left- and right-mover amplitudes of site ``lo + k``, and every entry
-    outside the slice ``cone`` is exactly zero.  Both vectors are updated
-    in place by the next step, so a consumer copies what it keeps.
+    outside the slice ``cone`` is exactly zero.  ``cone`` grows and covers
+    the light cone; inside it, entries past the light cone are zeros of
+    either sign.  Both vectors are updated in place by the next step, so a
+    consumer copies what it keeps.
     """
     lo, hi = window_for(t, field, (initial.lo, initial.hi))
     n = hi - lo + 1
@@ -187,18 +197,23 @@ def _propagate(
     right[start : n - start] = initial.amps[:, 1]
     yield lo, slice(start, n - start), left, right
     scratch = np.empty((4, n), dtype=np.complex128)
+    r = start
     for p in range(start, 1, -1):
-        q = n - p
-        aL, bR, cL, dR = (s[: q - p] for s in scratch)
-        np.multiply(a[p:q], left[p:q], out=aL)
-        np.multiply(b[p:q], right[p:q], out=bR)
-        np.multiply(c[p:q], left[p:q], out=cL)
-        np.multiply(d[p:q], right[p:q], out=dR)
-        np.add(aL, bR, out=left[p - 1 : q - 1])  # S moves left-movers one site left
-        np.add(cL, dR, out=right[p + 1 : q + 1])  # and right-movers one site right
-        left[q - 1] = 0.0
-        right[p] = 0.0
-        yield lo, slice(p - 1, q + 1), left, right
+        if r == p:  # keep r outside the cone: the step leaves left[s - 1], right[r] as they are
+            r = max(1, p - _MARGIN)
+            s = n - r
+            aL, bR, cL, dR = (row[: s - r] for row in scratch)
+            ops = (
+                (np.multiply, a[r:s], left[r:s], aL),
+                (np.multiply, b[r:s], right[r:s], bR),
+                (np.multiply, c[r:s], left[r:s], cL),
+                (np.multiply, d[r:s], right[r:s], dR),
+                (np.add, aL, bR, left[r - 1 : s - 1]),  # S moves left-movers one site left
+                (np.add, cL, dR, right[r + 1 : s + 1]),  # and right-movers one site right
+            )
+        for op, x, y, out in ops:
+            op(x, y, out)
+        yield lo, slice(r - 1, s + 1), left, right
 
 
 def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:

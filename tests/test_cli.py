@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qwtrap
-from qwtrap.cli import run
+from qwtrap.cli import EXIT_CHECK_FAILED, run
 from qwtrap.models import ModelReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -241,6 +241,30 @@ def test_verify_writes_json_lines(tmp_path, capsys):
     assert all(d["pass"] is True for d in docs)
 
 
+def test_verify_exit_code_reports_failed_checks(tmp_path, capsys):
+    # five steps are far too few for the time averages to converge
+    out = tmp_path / "checks.jsonl"
+    code = run(["verify", "--horizon", "5", "--window", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED
+    assert EXIT_CHECK_FAILED not in (0, 1, 2)  # apart from success and the error codes
+    assert "48 checks, 7 failed" in captured.err
+    docs = [json.loads(line) for line in out.read_text().strip().splitlines()]
+    assert len(docs) == 48 and sum(not d["pass"] for d in docs) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("model", "--id", "1"), ("figure", "--id", "1"), ("limit",), ("verify",)],
+)
+def test_negative_window_is_rejected(capsys, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    code, stdout, err = invoke(capsys, *argv, "--window", "-1", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert "argument --window: must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_exit_code_one_on_invalid_input(capsys, tmp_path):
     bad = [
         ("model", "--id", "9"),
@@ -326,7 +350,7 @@ DECLARED_FLAGS = {
 #: a value each flag would accept where it is declared (None for a switch)
 FLAG_VALUES = {
     "config": "CONFIG", "out": "OUT", "format": "json", "svg": None, "steps": "3",
-    "horizon": "50", "window": "3", "grid": "20000", "tol": "1e-12", "id": "1", "psi": "1,0,0,0",
+    "horizon": "300", "window": "3", "grid": "20000", "tol": "1e-12", "id": "1", "psi": "1,0,0,0",
 }
 #: arguments that make each subcommand succeed on its own
 BASE_ARGV = {"model": ["--id", "1"], "figure": ["--id", "1"]}

@@ -14,6 +14,7 @@ from qwtrap.walk import (
     CoinField,
     Distribution,
     WalkState,
+    _MARGIN,
     _coin_coefficients,
     _PairwiseSum,
     defect_field,
@@ -355,6 +356,75 @@ def test_cone_kernel_matches_full_window_reference(kind, k):
             sites = avg.sites()
             outside = (sites < initial.lo - (h - 1)) | (sites > initial.hi + (h - 1))
             assert np.all(avg.masses[outside] == 0.0)
+
+
+def _per_step_cone(initial, field, t):
+    """The kernel before the margin region: every step slices the exact light cone anew.
+
+    Yields ``(lo, cone, left, right)`` as ``qwtrap.walk._propagate`` does, with
+    ``cone`` exactly the light cone.
+    """
+    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    n = hi - lo + 1
+    a, b, c, d = _coin_coefficients(field, lo, hi)
+    left = np.zeros(n, dtype=np.complex128)
+    right = np.zeros(n, dtype=np.complex128)
+    start = initial.lo - lo
+    left[start : n - start] = initial.amps[:, 0]
+    right[start : n - start] = initial.amps[:, 1]
+    yield lo, slice(start, n - start), left, right
+    scratch = np.empty((4, n), dtype=np.complex128)
+    for p in range(start, 1, -1):
+        q = n - p
+        aL, bR, cL, dR = (s[: q - p] for s in scratch)
+        np.multiply(a[p:q], left[p:q], out=aL)
+        np.multiply(b[p:q], right[p:q], out=bR)
+        np.multiply(c[p:q], left[p:q], out=cL)
+        np.multiply(d[p:q], right[p:q], out=dR)
+        np.add(aL, bR, out=left[p - 1 : q - 1])
+        np.add(cL, dR, out=right[p + 1 : q + 1])
+        left[q - 1] = 0.0
+        right[p] = 0.0
+        yield lo, slice(p - 1, q + 1), left, right
+
+
+def _per_step_evolve(initial, field, t):
+    for lo, _, left, right in _per_step_cone(initial, field, t):
+        pass
+    return lo, np.stack((left, right), axis=1)
+
+
+def _per_step_average(initial, field, horizon):
+    acc = _PairwiseSum()
+    for lo, cone, left, right in _per_step_cone(initial, field, horizon - 1):
+        acc.add(cone.start, np.abs(left[cone]) ** 2 + np.abs(right[cone]) ** 2)
+    offset, total = acc.value()
+    masses = np.zeros(len(left))
+    masses[offset : offset + len(total)] = total / horizon
+    return lo, masses
+
+
+#: around the region rebuilds: before, at and after the first, then past the second
+MARGIN_HORIZONS = (1, 2, _MARGIN - 1, _MARGIN, _MARGIN + 1, 2 * _MARGIN + 1, 300)
+
+
+@pytest.mark.parametrize("kind, k", REFERENCE_FIELDS)
+def test_margin_region_kernel_equals_the_per_step_cone_kernel(kind, k):
+    """Amplitudes equal as values, averages bit for bit, no negative-zero mass.
+
+    Inside the light cone both kernels make the same products in the same
+    order; past it the region adds only zeros, whose sign may differ.
+    """
+    field, point, spread = _reference_case(kind, k)
+    for initial in (point, spread):
+        for t in MARGIN_HORIZONS:
+            out = evolve(initial, field, t)
+            lo, amps = _per_step_evolve(initial, field, t)
+            assert out.lo == lo and np.all(out.amps == amps), t
+            avg = time_averaged(initial, field, t)
+            lo, masses = _per_step_average(initial, field, t)
+            assert avg.lo == lo and np.array_equal(avg.masses, masses), t
+            assert not np.any(np.signbit(avg.masses)), t
 
 
 def test_coin_coefficients_equal_the_per_site_stack(rng):
