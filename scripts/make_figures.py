@@ -5,7 +5,7 @@ Each figure id produces three files in the output directory:
 
     figK.csv        x, simulated mass at t=--steps, spectral limit mass
     figK_arcs.csv   eigenphase branches under the one-parameter sweep
-    figK.svg        bar chart of the simulated distribution
+    figK.svg        bar chart of the spectral limit distribution (nu_inf)
 
 Uses the same code path as ``qwtrap figure --id K --out ... --svg`` so the
 output here is byte-identical to the CLI's.
@@ -15,14 +15,14 @@ import argparse
 import pathlib
 import sys
 
-from qwtrap.cli import run
+from qwtrap.cli import DEFAULT_STEPS, run
 from qwtrap.figures import PRESETS
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="figures", help="output directory (default: figures/)")
-    ap.add_argument("--steps", type=int, default=70, help="evolution time for the simulated overlay")
+    ap.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="evolution time for the simulated overlay")
     ap.add_argument("--ids", type=int, nargs="*", default=None, help="subset of figure ids (default: all)")
     args = ap.parse_args()
 

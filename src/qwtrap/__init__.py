@@ -64,7 +64,6 @@ from .spectral import (
     is_strongly_trapped,
     limit_distribution,
     transfer_eigen,
-    transfer_inverse,
     transfer_matrix,
     trapped_mass,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "is_strongly_trapped",
     "limit_distribution",
     "transfer_eigen",
-    "transfer_inverse",
     "transfer_matrix",
     "trapped_mass",
     "ConstraintError",

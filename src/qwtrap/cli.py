@@ -97,7 +97,7 @@ def _parse_psi(text: str) -> tuple[complex, complex]:
         raise ValueError(f"--psi: expected four numbers 're,im,re,im', got {text!r}") from None
     q1, q2 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
     nrm = abs(q1) ** 2 + abs(q2) ** 2
-    if abs(nrm - 1.0) > UNIT_PSI_TOL:
+    if not abs(nrm - 1.0) <= UNIT_PSI_TOL:  # NaN fails too
         raise ValueError(f"--psi: state must have unit norm, got ||psi||^2 = {nrm:.6g}")
     return q1, q2
 
@@ -362,6 +362,8 @@ def _model_coins(roles: dict, model_id: int) -> tuple[Coin, Coin | None, Coin]:
     minus, plus = roles["minus"], roles["plus"]
     if model_id in (1, 2) and minus != plus:
         raise ValueError("families 1 and 2 need identical [minus] and [plus] coins")
+    if model_id in (3, 4) and roles.get("origin", plus) != plus:
+        raise ValueError("families 3 and 4 need the [origin] coin unset or identical to [plus]")
     return minus, roles.get("origin"), plus
 
 

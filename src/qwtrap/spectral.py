@@ -16,7 +16,9 @@ complex component vectors, so a batch of phases costs a few element-wise
 products per site and no ``2 x 2`` matrix product or solve.  Roots are
 refined on all brackets at once by a section search, eightfold per batched
 call, and two Gauss-Newton steps on the complex mismatch, which is smooth
-in ``lam``: the left kernel vector has its first component real.
+in ``lam``: the left kernel vector has its first component real.  An
+eigenvector is the same recurrence at one phase, recorded at every core
+site, so its left tail is the kernel vector itself.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ def transfer_matrix(coin: Coin, lam) -> np.ndarray:
     """Transfer matrix of the reshaped eigenvector recurrence at one site.
 
     An array of phases gives one matrix per phase, of shape
-    ``lam.shape + (2, 2)``.
+    ``lam.shape + (2, 2)``.  The core is stepped through with
+    :func:`_site_step`, which forms no matrix; this module uses the matrix
+    only for ``T_left - zeta_out``, whose kernel starts the recurrence.
     """
-    e = _cis(lam - coin.delta)
+    e = np.exp(1j * (lam - coin.delta))
     a = coin.alpha
     out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = e / a
@@ -72,28 +76,6 @@ def transfer_matrix(coin: Coin, lam) -> np.ndarray:
     out[..., 1, 0] = -coin.beta.conjugate() / a
     out[..., 1, 1] = e.conjugate() / a
     return out
-
-
-def transfer_inverse(coin: Coin, lam) -> np.ndarray:
-    """Closed-form inverse of :func:`transfer_matrix`, batched the same way."""
-    e = _cis(lam - coin.delta)
-    s = coin.alpha / abs(coin.alpha) ** 2
-    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = s * e.conjugate()
-    out[..., 0, 1] = s * coin.beta
-    out[..., 1, 0] = s * coin.beta.conjugate()
-    out[..., 1, 1] = s * e
-    return out
-
-
-def _cis(th):
-    """``exp(i*th)``; a single phase gives a Python complex.
-
-    Python's complex division rounds differently from numpy's, and
-    single-phase matrices build the eigenvectors, so they keep Python's.
-    """
-    e = np.exp(1j * th)
-    return complex(e) if np.ndim(e) == 0 else e
 
 
 def discriminant(coin: Coin, lam) -> float | np.ndarray:
@@ -167,14 +149,15 @@ def _site_step(coin: Coin, z: np.ndarray, v0: np.ndarray, v1: np.ndarray):
     return e * v0 - (coin.beta / a) * v1, f * v1 - (coin.beta.conjugate() / a) * v0
 
 
-def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Residuals, unit matching generators and mismatches, batched over admissible phases.
+def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Residuals, mismatches and left starts, batched over admissible phases.
 
-    The generator ``phi`` spans the solutions that decay to the left: the
-    kernel vector of ``T_left - zeta_out`` carried forward through the sites
-    ``x_minus .. -1`` and normalised.  The residual is how far the sites
-    ``0 .. x_plus - 1`` push ``phi`` from the contracting eigenspace on the
-    right, the norm of the mismatch
+    The left start ``(z, v0, v1)`` is ``z = exp(i*lam)`` and the kernel
+    vector of ``T_left - zeta_out``: the value at ``x_minus`` of the
+    solution that decays to the left.  Carried forward through the sites
+    ``x_minus .. -1`` and normalised, it gives the unit generator ``phi``.
+    The residual is how far the sites ``0 .. x_plus - 1`` push ``phi`` from
+    the contracting eigenspace on the right, the norm of the mismatch
     ``w = (T_right - zeta_in) T_{x_plus-1} .. T_0 phi``.  Zero residual
     certifies an eigenphase.  ``w`` has shape ``lams.shape + (2,)``.
     """
@@ -185,26 +168,26 @@ def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, ...]
     shifted[..., 0, 0] -= zeta_out
     shifted[..., 1, 1] -= zeta_out
     k = kernel_vectors(shifted)
-    v0, v1 = k[..., 0], k[..., 1]
+    start = z, k[..., 0], k[..., 1]
+    _, v0, v1 = start
     for x in range(field.x_minus, 0):
         v0, v1 = _site_step(field.coin(x), z, v0, v1)
     n = np.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
     v0, v1 = v0 / n, v1 / n
-    phi = np.stack((v0, v1), axis=-1)
     for x in range(0, field.x_plus):
         v0, v1 = _site_step(field.coin(x), z, v0, v1)
     zeta_in = contracting_zeta(field.right, lams)
     w0, w1 = _site_step(field.right, z, v0, v1)
     w0 -= zeta_in * v0
     w1 -= zeta_in * v1
-    return np.sqrt(abs(w0) ** 2 + abs(w1) ** 2), phi, np.stack((w0, w1), axis=-1)
+    return np.sqrt(abs(w0) ** 2 + abs(w1) ** 2), np.stack((w0, w1), axis=-1), start
 
 
 def eigen_residual(field: CoinField, lam: float) -> float:
     """Matching residual at one phase; zero exactly on eigenphases."""
     if not in_admissible_set(field, lam):
         raise NotInAdmissibleSetError(f"phase {lam!r} is not admissible")
-    res, _, _ = _residual_core(field, np.array([float(lam)]))
+    res = _residual_core(field, np.array([float(lam)]))[0]
     return float(res[0])
 
 
@@ -214,7 +197,7 @@ def _residual_or_inf(field: CoinField, lams: np.ndarray) -> np.ndarray:
     out = np.full(lams.shape, np.inf)
     ok = in_admissible_set(field, lams)
     if ok.any():
-        out[ok], _, _ = _residual_core(field, lams[ok])
+        out[ok] = _residual_core(field, lams[ok])[0]
     return out
 
 
@@ -224,7 +207,7 @@ def _mismatch_or_zero(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, n
     res, w = np.full(lams.shape, np.inf), np.zeros(lams.shape + (2,), dtype=np.complex128)
     ok = in_admissible_set(field, lams)
     if ok.any():
-        res[ok], _, w[ok] = _residual_core(field, lams[ok])
+        res[ok], w[ok], _ = _residual_core(field, lams[ok])
     return res, w
 
 
@@ -461,8 +444,8 @@ class EigenPair:
 
     ``phi`` is the unit reshaped solution ``[psi_L(-1), psi_R(0)]`` at site
     0, and ``raw`` the walker-space eigenvector the transfer recurrence
-    builds from it.  ``norm_factor`` scales ``raw`` to unit total norm,
-    computed in closed form.
+    builds, scaled to equal ``phi`` there.  ``norm_factor`` scales ``raw``
+    to unit total norm, computed in closed form.
     """
 
     lam: float
@@ -478,34 +461,36 @@ class EigenPair:
 def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     """Reconstruct the (unique up to phase) unit eigenvector at an eigenphase.
 
-    The global phase is fixed by making the first component of the matching
-    generator real and positive.  Every transfer matrix preserves the flux
-    ``|v0|**2 - |v1|**2``, which a square-summable solution has at zero, so
-    both components of the generator have modulus ``1/sqrt(2)``: neither is
-    ever zero, and neither is larger except by rounding.
-
     The reshaped solution ``tilde`` holds ``[psi_L(x-1), psi_R(x)]`` on the
-    core sites ``x_minus .. x_plus``; outside the core it continues
-    geometrically with ratios ``zeta_in`` (right) and ``zeta_out`` (left).
+    core sites ``x_minus .. x_plus``: :func:`_site_step` carries the left
+    start of :func:`_residual_core`, which already lies in the decaying
+    eigenspace of ``T_left``, forward through the core and records every
+    site.  Outside the core it continues geometrically with ratios
+    ``zeta_in`` (right) and ``zeta_out`` (left).
+
+    The rows are scaled so that ``tilde`` at site 0, the matching generator
+    ``phi``, is a unit vector with its first component real and positive.
+    Every transfer matrix preserves the flux ``|v0|**2 - |v1|**2``, which a
+    square-summable solution has at zero, so both components of ``phi``
+    have modulus ``1/sqrt(2)``: neither is ever zero, and neither is larger
+    except by rounding.
     """
     lam = float(lam) % TWO_PI
     if not in_admissible_set(field, lam):
         raise NoEigenvalueError(f"phase {lam!r} is not admissible")
-    res, phi, _ = _residual_core(field, np.array([lam]))
+    res, _, (z, v0, v1) = _residual_core(field, np.array([lam]))
     if res[0] >= RESIDUAL_ACCEPT:
         raise NoEigenvalueError(f"residual {res[0]:.3e} at phase {lam!r} is too large")
-    phi = phi[0]
-    phi = phi * (phi[0].conjugate() / abs(phi[0]))
+    x_m, x_p = field.x_minus, field.x_plus
+    rows = [(v0, v1)]
+    for x in range(x_m, x_p):
+        v0, v1 = _site_step(field.coin(x), z, v0, v1)
+        rows.append((v0, v1))
+    tilde = np.array(rows)[..., 0]
+    s0, s1 = tilde[-x_m]
+    tilde *= s0.conjugate() / (abs(s0) * math.hypot(abs(s0), abs(s1)))
     zeta_in = complex(contracting_zeta(field.right, lam))
     zeta_out = complex(expanding_zeta(field.left, lam))
-    x_m, x_p = field.x_minus, field.x_plus
-    tilde = np.zeros((x_p - x_m + 1, 2), dtype=np.complex128)
-    i0 = -x_m
-    tilde[i0] = phi
-    for x in range(0, x_p):
-        tilde[i0 + x + 1] = transfer_matrix(field.coin(x), lam) @ tilde[i0 + x]
-    for x in range(-1, x_m - 1, -1):
-        tilde[i0 + x] = transfer_inverse(field.coin(x), lam) @ tilde[i0 + x + 1]
     raw = GeometricVector(
         plus_cut=x_p,
         minus_cut=x_m,
@@ -517,7 +502,7 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
     )
     return EigenPair(
         lam=lam,
-        phi=phi,
+        phi=tilde[-x_m],
         raw=raw,
         norm_factor=1.0 / math.sqrt(raw.norm_sq_total()),
     )

@@ -75,6 +75,15 @@ def test_simulate_respects_psi_and_rejects_non_unit(capsys):
     assert "unit norm" in err
 
 
+def test_non_finite_psi_is_rejected_as_a_flag_error(capsys):
+    # NaN compares false with any tolerance, so the norm check must fail on it
+    for argv in (("simulate",), ("limit",), ("model", "--id", "1"), ("figure", "--id", "1")):
+        for psi in ("nan,0,0,0", "0,0,inf,0"):
+            code, out, err = invoke(capsys, *argv, f"--psi={psi}")
+            assert code == 1 and out == "", (argv, psi)
+            assert "--psi:" in err, (argv, psi, err)
+
+
 def test_eigen_csv_and_json(capsys):
     code, out, _ = invoke(capsys, "eigen")
     assert code == 0
@@ -309,6 +318,24 @@ def test_model_rejects_core_coins_off_the_origin(capsys, fig1_config):
     code, out, err = invoke(capsys, "model", "--id", "1", "--config", str(path))
     assert code == 1 and out == ""
     assert "[middle_3]" in err and "single-defect" in err
+
+
+def test_families_3_and_4_reject_an_origin_coin_unlike_plus(capsys, tmp_path):
+    # families 3 and 4 take only [minus] and [plus]; a different [origin] would
+    # be dropped silently although `trap` on the same file reads it
+    plus = f"alpha = {R!r},0\nbeta = {-R!r},0\ndelta = 0\n"
+    path = tmp_path / "field.ini"
+    path.write_text(f"[minus]\n{HADAMARD}\n[origin]\nalpha = 0.6,0\nbeta = 0,0.8\ndelta = 2.0\n\n[plus]\n{plus}")
+    for k in ("3", "4"):
+        code, out, err = invoke(capsys, "model", "--id", k, "--config", str(path))
+        assert code == 1 and out == "", k
+        assert "[origin]" in err and "[plus]" in err, k
+    path.write_text(f"[minus]\n{HADAMARD}\n[origin]\n{plus}\n[plus]\n{plus}")
+    code, with_origin, _ = invoke(capsys, "model", "--id", "4", "--config", str(path))
+    assert code == 0
+    path.write_text(f"[minus]\n{HADAMARD}\n[plus]\n{plus}")
+    code, without_origin, _ = invoke(capsys, "model", "--id", "4", "--config", str(path))
+    assert code == 0 and with_origin == without_origin
 
 
 def test_exit_code_two_on_degenerate_family(capsys, tmp_path):

@@ -21,6 +21,7 @@ from qwtrap.spectral import (
     _polish,
     _residual_core,
     _section_search,
+    _site_step,
     admissible_arcs,
     analyze,
     build_eigenvector,
@@ -33,7 +34,6 @@ from qwtrap.spectral import (
     is_strongly_trapped,
     limit_distribution,
     transfer_eigen,
-    transfer_inverse,
     transfer_matrix,
     trapped_mass,
 )
@@ -59,23 +59,14 @@ def test_transfer_matrix_entries():
     assert t[1, 1] == pytest.approx(e.conjugate() / R, abs=1e-15)
 
 
-def test_transfer_inverse_is_inverse(rng):
-    for _ in range(50):
-        c = random_coin(rng)
-        lam = float(rng.uniform(0.0, TWO_PI))
-        prod = transfer_inverse(c, lam) @ transfer_matrix(c, lam)
-        assert float(np.max(np.abs(prod - np.eye(2)))) <= 1e-12
-
-
 def test_transfer_matrices_batch_over_phases(rng):
     c = random_coin(rng)
     lams = rng.uniform(0.0, TWO_PI, size=(3, 4))
-    for build in (transfer_matrix, transfer_inverse):
-        stack = build(c, lams)
-        assert stack.shape == (3, 4, 2, 2)
-        for idx in np.ndindex(lams.shape):
-            single = build(c, float(lams[idx]))
-            assert float(np.max(np.abs(stack[idx] - single))) <= 1e-15
+    stack = transfer_matrix(c, lams)
+    assert stack.shape == (3, 4, 2, 2)
+    for idx in np.ndindex(lams.shape):
+        single = transfer_matrix(c, float(lams[idx]))
+        assert float(np.max(np.abs(stack[idx] - single))) <= 1e-15
 
 
 def test_transfer_determinant_identity(rng):
@@ -234,6 +225,20 @@ def test_eigenvector_transfer_recurrence(spectral_of):
                 assert float(gap) <= 1e-10, f"fig{fig_id} lam={pair.lam} x={x}"
 
 
+def test_eigenvector_left_tail_is_the_decaying_kernel_vector():
+    # left of the core the eigenvector continues t = [psi_L(x_minus - 1),
+    # psi_R(x_minus)] with ratio zeta_out, so t must lie in the kernel of
+    # T_left - zeta_out; a tail built backwards through the core misses it
+    # by up to cond(t_minus) * eps
+    eye = np.eye(2)
+    for k, field in enumerate([p.field() for p in PRESETS] + _wide_core_fields()):
+        for pair in analyze(field).eigenpairs:
+            vec = pair.vector()
+            t = np.array([vec.value(field.x_minus - 1)[0], vec.value(field.x_minus)[1]])
+            m = transfer_matrix(field.left, pair.lam) - expanding_zeta(field.left, pair.lam) * eye
+            assert np.linalg.norm(m @ t) <= 1e-13 * np.linalg.norm(t), (k, pair.lam)
+
+
 def test_eigenvector_geometric_decay(spectral_of):
     for fig_id in EXPECTED_COUNTS:
         for pair in spectral_of(fig_id).eigenpairs:
@@ -247,6 +252,18 @@ def test_eigenvector_geometric_decay(spectral_of):
                 assert got == pytest.approx(base_p * r**k, rel=1e-12)
                 got = vec.norm_sq_at(vec.minus_cut - k)
                 assert got == pytest.approx(base_m * rho**-k, rel=1e-12)
+
+
+def _transfer_inverse(coin, lams):
+    """Closed-form inverse of ``transfer_matrix(coin, lams)``, batched the same way."""
+    e = np.exp(1j * (lams - coin.delta))
+    s = coin.alpha / abs(coin.alpha) ** 2
+    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = s * e.conjugate()
+    out[..., 0, 1] = s * coin.beta
+    out[..., 1, 0] = s * coin.beta.conjugate()
+    out[..., 1, 1] = s * e
+    return out
 
 
 def _reference_residual(field, lams):
@@ -264,7 +281,7 @@ def _reference_residual(field, lams):
         t_plus = transfer_matrix(field.coin(x), lams) @ t_plus
     t_minus = np.broadcast_to(eye, lams.shape + (2, 2))
     for x in range(-1, field.x_minus - 1, -1):
-        t_minus = transfer_inverse(field.coin(x), lams) @ t_minus
+        t_minus = _transfer_inverse(field.coin(x), lams) @ t_minus
     shifted = transfer_matrix(field.left, lams) - expanding_zeta(field.left, lams)[:, None, None] * eye
     phi = np.linalg.solve(t_minus, kernel_vectors(shifted)[..., None])[..., 0]
     phi /= np.linalg.norm(phi, axis=-1, keepdims=True)
@@ -317,7 +334,11 @@ def test_residual_recurrence_matches_matrix_products():
         lams, is_root = _residual_test_phases(field)
         if not lams.size:
             continue
-        res, phi, _ = _residual_core(field, lams)
+        res, _, (z, v0, v1) = _residual_core(field, lams)
+        for x in range(field.x_minus, 0):  # the generator: the left start carried to site 0
+            v0, v1 = _site_step(field.coin(x), z, v0, v1)
+        phi = np.stack((v0, v1), axis=-1)
+        phi /= np.linalg.norm(phi, axis=-1, keepdims=True)
         ref, ref_phi, landing, t_plus, t_minus = _reference_residual(field, lams)
         scale = np.linalg.norm(landing, 2, axis=(-2, -1)) * np.linalg.norm(t_plus, 2, axis=(-2, -1))
         # At a root both routes lose up to about 10 eps * cond(t_minus) of phi;
@@ -515,14 +536,12 @@ def test_zeta_product_property(seed, lam):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     lam=st.floats(min_value=0.0, max_value=TWO_PI),
 )
-def test_transfer_commutator_and_inverse_property(seed, lam):
+def test_transfer_commutator_property(seed, lam):
     c = random_coin(np.random.default_rng(seed))
     t = transfer_matrix(c, lam)
     comm = t @ t.conj().T - t.conj().T @ t
     want = 4.0 * abs(c.beta) * abs(math.sin(lam - c.delta)) / abs(c.alpha) ** 2
     assert float(np.max(np.abs(comm))) == pytest.approx(want, abs=1e-9)
-    prod = transfer_inverse(c, lam) @ t
-    assert float(np.max(np.abs(prod - np.eye(2)))) <= 1e-11
 
 
 def test_random_defect_solver_agrees_with_residuals(rng):
@@ -631,7 +650,7 @@ def test_mismatch_has_no_phase_jumps():
         stencil = stencil[in_admissible_set(field, stencil % TWO_PI).all(axis=1)]
         if not stencil.size:
             continue
-        _, _, w = _residual_core(field, stencil.ravel() % TWO_PI)
+        _, w, _ = _residual_core(field, stencil.ravel() % TWO_PI)
         w = w.reshape(stencil.shape + (2,))
         wide = np.linalg.norm(w[:, 0] - 2 * w[:, 2] + w[:, 4], axis=-1)
         narrow = np.linalg.norm(w[:, 1] - 2 * w[:, 2] + w[:, 3], axis=-1)
