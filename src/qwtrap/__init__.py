@@ -42,8 +42,6 @@ from .walk import (
 )
 from .spectral import (
     DEDUPE_TOL,
-    DEFAULT_GRID,
-    DEFAULT_REFINE_TOL,
     EigenPair,
     GeometricVector,
     INDEPENDENCE_TOL,
@@ -105,8 +103,6 @@ __all__ = [
     "uniform_field",
     "window_for",
     "DEDUPE_TOL",
-    "DEFAULT_GRID",
-    "DEFAULT_REFINE_TOL",
     "EigenPair",
     "GeometricVector",
     "INDEPENDENCE_TOL",

@@ -1,7 +1,7 @@
-"""Validated coin parameters and closed-form 2x2 complex linear algebra.
+"""Validated coin parameters and the coin matrix.
 
 Everything in this module is pure and allocation-light: coins are frozen
-dataclasses and matrices are plain ``(2, 2)`` complex numpy arrays.
+dataclasses and the coin matrix is a plain ``(2, 2)`` complex numpy array.
 """
 
 from __future__ import annotations
@@ -74,25 +74,3 @@ def coin_matrix(coin: Coin) -> np.ndarray:
         dtype=np.complex128,
     )
 
-
-def kernel_vectors(mats: np.ndarray) -> np.ndarray:
-    """Unit kernel vectors of rank-deficient 2x2 matrices, batched.
-
-    ``mats`` has shape ``(..., 2, 2)`` and the result ``(..., 2)``.  The row
-    with the larger 1-norm supplies the constraint, so a vanishing row never
-    contaminates the result; for the zero matrix every direction works and
-    ``e1`` is returned.  The first component is made real and nonnegative, so
-    smooth entries give a smooth vector where it is nonzero, across row switches.
-    """
-    a, b = mats[..., 0, 0], mats[..., 0, 1]
-    c, d = mats[..., 1, 0], mats[..., 1, 1]
-    use_top = (np.abs(a) + np.abs(b)) >= (np.abs(c) + np.abs(d))
-    v0, v1 = np.where(use_top, b, d), np.where(use_top, -a, -c)
-    r = np.abs(v0)
-    turn = np.divide(v0.conjugate(), r, out=np.ones_like(v0), where=r > 0.0)
-    v = np.stack([r, turn * v1], axis=-1)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if not n.all():
-        zero = n == 0.0
-        v, n = np.where(zero, np.array([1.0, 0.0], dtype=np.complex128), v), np.where(zero, 1.0, n)
-    return v / n

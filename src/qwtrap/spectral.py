@@ -10,15 +10,16 @@ eigenphase exactly when pushing that solution through the core lands it in
 the contracting eigenspace on the right.  The distance from that eigenspace
 is a scalar residual whose zeros are the eigenphases.
 
-The residual is one forward vector recurrence per phase: the left-decaying
-vector is carried site by site from ``x_minus`` to ``x_plus - 1`` as two
-complex component vectors, so a batch of phases costs a few element-wise
-products per site and no ``2 x 2`` matrix product or solve.  Roots are
-refined on all brackets at once by a section search, eightfold per batched
-call, and two Gauss-Newton steps on the complex mismatch, which is smooth
-in ``lam``: the left kernel vector has its first component real.  An
-eigenvector is the same recurrence at one phase, recorded at every core
-site, so its left tail is the kernel vector itself.
+The residual is one forward vector recurrence per phase.  It starts at
+``x_minus`` from the left-decaying vector, the kernel vector of
+``T_left - zeta_out`` in closed form, and carries it site by site to
+``x_plus - 1`` as two complex component vectors, so a batch of phases
+costs a few element-wise operations per site and forms no ``2 x 2``
+matrix.  Roots are refined on all brackets at once by a section search,
+eightfold per batched call, and two Gauss-Newton steps on the complex
+mismatch, which is smooth in ``lam``: the left kernel vector has its first
+component real.  An eigenvector is the same recurrence at one phase,
+recorded at every core site, so its left tail is the kernel vector itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import TWO_PI, Coin, kernel_vectors
+from .algebra import TWO_PI, Coin
 from .walk import CoinField, Distribution, WalkState
 
 #: Discriminants below this count as outside the admissible phase set.
@@ -50,6 +51,7 @@ DEFAULT_REFINE_TOL = 1e-12
 _SECTION_POINTS = 15
 _POLISH_STEPS = 2
 _POLISH_H = 1e-7
+_SQRT2 = math.sqrt(2.0)
 
 
 class NotInAdmissibleSetError(ValueError):
@@ -64,9 +66,10 @@ def transfer_matrix(coin: Coin, lam) -> np.ndarray:
     """Transfer matrix of the reshaped eigenvector recurrence at one site.
 
     An array of phases gives one matrix per phase, of shape
-    ``lam.shape + (2, 2)``.  The core is stepped through with
-    :func:`_site_step`, which forms no matrix; this module uses the matrix
-    only for ``T_left - zeta_out``, whose kernel starts the recurrence.
+    ``lam.shape + (2, 2)``.  The solver forms no transfer matrix: the core
+    is stepped through with :func:`_site_step`, and the left start of
+    :func:`_residual_core` is the kernel of ``T_left - zeta_out`` in closed
+    form.
     """
     e = np.exp(1j * (lam - coin.delta))
     a = coin.alpha
@@ -152,9 +155,13 @@ def _site_step(coin: Coin, z: np.ndarray, v0: np.ndarray, v1: np.ndarray):
 def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Residuals, mismatches and left starts, batched over admissible phases.
 
-    The left start ``(z, v0, v1)`` is ``z = exp(i*lam)`` and the kernel
-    vector of ``T_left - zeta_out``: the value at ``x_minus`` of the
-    solution that decays to the left.  Carried forward through the sites
+    The left start ``(z, v0, v1)`` is ``z = exp(i*lam)`` and the unit kernel
+    vector of ``T_left - zeta_out`` with ``v0`` real and positive: the value
+    at ``x_minus`` of the solution that decays to the left.  With
+    ``th = lam - delta_left``, the matrix's second row gives it in closed
+    form, ``v1 = (i sin(th) - sgn(cos(th)) sqrt(disc)) conj(beta) v0 / |beta|**2``,
+    and a decaying solution has zero flux ``|v0|**2 - |v1|**2``, so
+    ``v0 = |v1| = 1/sqrt(2)``.  Carried forward through the sites
     ``x_minus .. -1`` and normalised, it gives the unit generator ``phi``.
     The residual is how far the sites ``0 .. x_plus - 1`` push ``phi`` from
     the contracting eigenspace on the right, the norm of the mismatch
@@ -163,13 +170,15 @@ def _residual_core(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.n
     """
     lams = np.asarray(lams, dtype=np.float64)
     z = np.exp(1j * lams)
-    shifted = transfer_matrix(field.left, lams)
-    zeta_out = expanding_zeta(field.left, lams)
-    shifted[..., 0, 0] -= zeta_out
-    shifted[..., 1, 1] -= zeta_out
-    k = kernel_vectors(shifted)
-    start = z, k[..., 0], k[..., 1]
-    _, v0, v1 = start
+    a, b, th = field.left.alpha, field.left.beta, lams - field.left.delta
+    c = np.cos(th)
+    # rounded as written: reordering it moves a floor-limited root of the
+    # solver survey past RESIDUAL_ACCEPT
+    v0 = np.full(lams.shape, 1.0 / _SQRT2)
+    v1 = (1j * np.sin(th) - np.copysign(np.sqrt(c * c - abs(a) ** 2), c)) * (
+        b.conjugate() / (abs(b) ** 2 * _SQRT2)
+    )
+    start = z, v0, v1
     for x in range(field.x_minus, 0):
         v0, v1 = _site_step(field.coin(x), z, v0, v1)
     n = np.sqrt(abs(v0) ** 2 + abs(v1) ** 2)

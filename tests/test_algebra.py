@@ -1,4 +1,4 @@
-"""Coin validation, coin matrices and batched 2x2 kernel vectors."""
+"""Coin validation and coin matrices."""
 
 import math
 
@@ -12,7 +12,6 @@ from qwtrap.algebra import (
     TWO_PI,
     Coin,
     coin_matrix,
-    kernel_vectors,
     make_coin,
 )
 
@@ -67,43 +66,6 @@ def test_coin_matrix_determinant_is_pure_phase(rng):
         c = random_coin(rng)
         det = np.linalg.det(coin_matrix(c))
         assert det == pytest.approx(np.exp(2j * c.delta), abs=1e-12)
-
-
-def test_kernel_vectors_annihilate_rank_one_matrices(rng):
-    # m - z for each eigenvalue z of a random complex m, all in one batch
-    m = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
-    shifted = m[:, None] - np.linalg.eigvals(m)[..., None, None] * np.eye(2)
-    v = kernel_vectors(shifted)
-    bound = 1e-10 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))[:, None]
-    assert np.all(np.linalg.norm((shifted @ v[..., None])[..., 0], axis=-1) <= bound)
-    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
-    assert np.all(v[..., 0].imag == 0.0) and np.all(v[..., 0].real >= 0.0)
-
-
-def test_kernel_vectors_defective_shear():
-    # [[1, 1], [0, 1]] - 1 has a zero row and the one-dimensional kernel e1
-    v = kernel_vectors(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
-    assert v[0] == 1.0 and abs(v[1]) <= 1e-12
-
-
-def test_kernel_vectors_zero_matrix_returns_e1():
-    # every vector is in the kernel; the zero matrix falls back to e1
-    v = kernel_vectors(np.zeros((3, 2, 2), dtype=np.complex128))
-    assert np.array_equal(v, np.tile([1.0, 0.0], (3, 1)))
-
-
-def test_kernel_vectors_phase_is_continuous_across_row_switch():
-    # the constraint row switches where the two row norms cross; the unit
-    # kernel ray is smooth there, and with its first component made real
-    # and positive so is the vector itself
-    t = np.linspace(-1e-3, 1e-3, 21)
-    rows = np.array([[1.0, 1j], [1j, -1.0]]) * np.exp(1j * t)[:, None, None]
-    rows[:, 0] *= 1.0 + t[:, None]
-    v = kernel_vectors(rows)
-    top = np.abs(rows[:, 0]).sum(axis=-1) >= np.abs(rows[:, 1]).sum(axis=-1)
-    assert top.any() and not top.all()
-    assert np.max(np.abs(np.diff(v, axis=0))) <= 1e-12
-    assert np.allclose(v, [R, 1j * R], atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

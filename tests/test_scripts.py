@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``, each run as its own process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from qwtrap.cli import run
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, status=0):
     # a fresh interpreter that imports the same qwtrap this test did
     env = dict(os.environ)
     src_dir = str(Path(qwtrap.__file__).resolve().parent.parent)
@@ -23,7 +24,7 @@ def run_script(name, *args):
         env=env,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return proc
 
 
@@ -45,3 +46,21 @@ def test_trapping_convergence_deviation_shrinks(tmp_path):
     assert [int(r.split(",")[0]) for r in rows] == [50, 100]
     devs = [float(r.split(",")[1]) for r in rows]
     assert 0.0 < devs[1] < devs[0]
+
+
+def test_solver_survey_on_the_presets(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    run_script("solver_survey.py", "--presets-only", "--out", first)
+    rows = json.loads(first.read_text())
+    assert [r["field"] for r in rows] == [f"preset {k}" for k in range(1, 8)]
+    assert [len(r["phases"]) for r in rows] == [4, 2, 4, 2, 2, 2, 4]
+    assert [r["strongly_trapped"] for r in rows] == [True, False, True, False, False, False, True]
+    proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first)
+    assert "0 count differences, 0 verdict differences, largest phase gap 0," in proc.stdout
+    # a survey with one root fewer and a flipped verdict is reported, with exit status 1
+    rows[0]["phases"].pop()
+    rows[1]["strongly_trapped"] = True
+    first.write_text(json.dumps(rows))
+    proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first, status=1)
+    assert "count differs: preset 1" in proc.stdout and "verdict differs: preset 2" in proc.stdout
+

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coin, random_field, random_unit_psi
-from qwtrap.algebra import TWO_PI, kernel_vectors, make_coin
+from qwtrap.algebra import TWO_PI, make_coin
 from qwtrap.figures import PRESETS, preset
 from qwtrap.spectral import (
     DEDUPE_TOL,
@@ -254,6 +254,64 @@ def test_eigenvector_geometric_decay(spectral_of):
                 assert got == pytest.approx(base_m * rho**-k, rel=1e-12)
 
 
+def _kernel_vectors(mats):
+    """Unit kernel vectors of rank-one 2x2 matrices, batched, by a generic route.
+
+    ``mats`` has shape ``(..., 2, 2)`` and the result ``(..., 2)``.  The row
+    with the larger 1-norm supplies the constraint, so a vanishing row never
+    contaminates the result.  The first component is made real and
+    nonnegative, so smooth entries give a smooth vector across row switches.
+    The reference for the closed-form left start of ``_residual_core``.
+    """
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    use_top = (np.abs(a) + np.abs(b)) >= (np.abs(c) + np.abs(d))
+    v0, v1 = np.where(use_top, b, d), np.where(use_top, -a, -c)
+    r = np.abs(v0)
+    turn = np.divide(v0.conjugate(), r, out=np.ones_like(v0), where=r > 0.0)
+    v = np.stack([r, turn * v1], axis=-1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_kernel_vectors_annihilate_rank_one_matrices(rng):
+    # m - z for each eigenvalue z of a random complex m, all in one batch
+    m = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    shifted = m[:, None] - np.linalg.eigvals(m)[..., None, None] * np.eye(2)
+    v = _kernel_vectors(shifted)
+    bound = 1e-10 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))[:, None]
+    assert np.all(np.linalg.norm((shifted @ v[..., None])[..., 0], axis=-1) <= bound)
+    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
+    assert np.all(v[..., 0].imag == 0.0) and np.all(v[..., 0].real >= 0.0)
+
+
+def test_left_start_is_the_closed_form_kernel_vector(rng):
+    # The start's direction hangs on sqrt(cos^2 - |alpha|^2), whose radicand
+    # loses about eps / |beta|^2 of relative accuracy; the closed form and
+    # the generic kernel route both stay within 2.1 eps / |beta|^2 of a
+    # 200-bit kernel of T_left - zeta_out, so each bound is 8 eps / |beta|^2
+    # (3.5e-15 at |beta|^2 = 1/2, 1.8e-11 at |alpha| = 0.9999).
+    eps = np.finfo(float).eps
+    coins = [random_coin(rng) for _ in range(150)]
+    coins += [_near_threshold_coin(rng, rng.uniform(0.0, TWO_PI)) for _ in range(150)]
+    for k, coin in enumerate(coins):
+        field = uniform_field(coin)
+        lams = []
+        for s, e in admissible_arcs(field):  # 20 samples and a phase within 1e-9 of each end
+            off = 10.0 ** -rng.uniform(9.0, 12.0, size=2)
+            lams.append(np.concatenate((rng.uniform(s, e, size=20), [s + off[0], e - off[1]])))
+        lams = np.concatenate(lams) % TWO_PI
+        lams = lams[in_admissible_set(field, lams)]
+        _, _, (_, v0, v1) = _residual_core(field, lams)
+        tol = 8.0 * eps / abs(coin.beta) ** 2
+        m = transfer_matrix(coin, lams) - expanding_zeta(coin, lams)[:, None, None] * np.eye(2)
+        v = np.stack((v0, v1), axis=-1)
+        gap = np.linalg.norm((m @ v[..., None])[..., 0], axis=-1) / np.linalg.norm(m, 2, axis=(-2, -1))
+        assert np.all(gap <= tol), (k, np.max(gap / tol))
+        assert v0.dtype == np.float64 and np.all(v0 == 1.0 / math.sqrt(2.0)), k
+        assert np.all(np.abs(np.abs(v1) - 1.0 / math.sqrt(2.0)) <= tol), k
+        assert np.all(np.abs(v - _kernel_vectors(m)) <= tol), k
+
+
 def _transfer_inverse(coin, lams):
     """Closed-form inverse of ``transfer_matrix(coin, lams)``, batched the same way."""
     e = np.exp(1j * (lams - coin.delta))
@@ -283,11 +341,17 @@ def _reference_residual(field, lams):
     for x in range(-1, field.x_minus - 1, -1):
         t_minus = _transfer_inverse(field.coin(x), lams) @ t_minus
     shifted = transfer_matrix(field.left, lams) - expanding_zeta(field.left, lams)[:, None, None] * eye
-    phi = np.linalg.solve(t_minus, kernel_vectors(shifted)[..., None])[..., 0]
+    phi = np.linalg.solve(t_minus, _kernel_vectors(shifted)[..., None])[..., 0]
     phi /= np.linalg.norm(phi, axis=-1, keepdims=True)
     landing = transfer_matrix(field.right, lams) - contracting_zeta(field.right, lams)[:, None, None] * eye
     w = (landing @ (t_plus @ phi[..., None]))[..., 0]
     return np.linalg.norm(w, axis=-1), phi, landing, t_plus, t_minus
+
+
+def _near_threshold_coin(rng, delta):
+    """Coin with |alpha| in [0.99, 0.9999] and uniform phases."""
+    a, pa, pb = rng.uniform(0.99, 0.9999), *rng.uniform(0.0, TWO_PI, size=2)
+    return make_coin(a * np.exp(1j * pa), math.sqrt(1.0 - a * a) * np.exp(1j * pb), delta)
 
 
 def _near_threshold_field(rng, width):
@@ -296,15 +360,11 @@ def _near_threshold_field(rng, width):
     The two asymptotic coins share ``delta``, so their narrow hyperbolic arcs
     overlap and the field has an admissible set.
     """
-
-    def coin(d):
-        a, pa, pb = rng.uniform(0.99, 0.9999), *rng.uniform(0.0, TWO_PI, size=2)
-        return make_coin(a * np.exp(1j * pa), math.sqrt(1.0 - a * a) * np.exp(1j * pb), d)
-
     x_minus = -int(rng.integers(1, width + 1))
-    middle = tuple(coin(rng.uniform(0.0, TWO_PI)) for _ in range(width))
+    middle = tuple(_near_threshold_coin(rng, rng.uniform(0.0, TWO_PI)) for _ in range(width))
     d = rng.uniform(0.0, TWO_PI)
-    return CoinField(x_minus, x_minus + width + 1, middle, coin(d), coin(d))
+    left, right = _near_threshold_coin(rng, d), _near_threshold_coin(rng, d)
+    return CoinField(x_minus, x_minus + width + 1, middle, left, right)
 
 
 def _residual_test_phases(field):
@@ -354,6 +414,26 @@ def test_residual_recurrence_matches_matrix_products():
         # the left cut site x_minus only multiplies phi by zeta_out / |zeta_out|
         align = np.sum(ref_phi.conj() * phi, axis=-1).real
         assert np.all(1.0 - align <= 1e-14), (k, np.max(1.0 - align))
+
+
+def test_solver_agrees_with_matrix_product_reference(monkeypatch):
+    # the solver run twice on the presets and the wide random cores: once as
+    # shipped, once with the matrix-product reference as its residual and
+    # mismatch, so the closed-form left start is checked through every root
+    import qwtrap.spectral as spectral
+
+    def reference_core(field, lams):
+        res, phi, landing, t_plus, _ = _reference_residual(field, lams)
+        return res, (landing @ (t_plus @ phi[..., None]))[..., 0], None
+
+    fields = [p.field() for p in PRESETS] + _wide_core_fields()
+    got = [find_eigenphases(f) for f in fields]
+    monkeypatch.setattr(spectral, "_residual_core", reference_core)
+    want = [find_eigenphases(f) for f in fields]
+    assert [len(g) for g in got] == [len(w) for w in want]
+    assert [len(g) for g in got[len(PRESETS):]] == WIDE_CORE_COUNTS
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert all(circ_gap(a, b) <= 1e-12 for a, b in zip(g, w)), (k, g, w)
 
 
 def test_eigenphase_kernel_is_one_dimensional(spectral_of):
@@ -614,7 +694,7 @@ def test_root_at_seam_is_stable():
 
 
 def _kernel_row_switches(field):
-    """Admissible phases where ``kernel_vectors`` switches rows for ``T_left - zeta_out``."""
+    """Admissible phases where ``_kernel_vectors`` switches rows for ``T_left - zeta_out``."""
 
     def gap(lams):
         m = transfer_matrix(field.left, lams)
@@ -637,9 +717,10 @@ def _kernel_row_switches(field):
 
 
 def test_mismatch_has_no_phase_jumps():
-    # w is smooth in lam, so halving h quarters its second difference.  A jump
-    # of the kernel vector's phase, as where kernel_vectors switches rows,
-    # keeps the second difference at the size of w instead
+    # w is smooth in lam, so halving h quarters its second difference; a jump
+    # would keep it at the size of w instead.  The sampled phases are those
+    # where the matrix-product reference's _kernel_vectors switches rows, and
+    # 40 interior points of each admissible arc
     h = 1e-6
     switches = 0
     for k, field in enumerate([p.field() for p in PRESETS] + _wide_core_fields()):
