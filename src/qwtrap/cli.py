@@ -40,6 +40,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -452,15 +453,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _half_width(text: str) -> int:
-    """``--window`` value: the half-width of a site window, a nonnegative integer."""
+def _int_at_least(minimum: int, text: str) -> int:
+    """Flag value: an integer ``>= minimum``, so that a bad one names its flag."""
     try:
-        w = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if w < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {w}")
-    return w
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
 
 
 #: argparse keyword arguments of every flag, by flag name
@@ -469,9 +470,9 @@ _FLAGS = {
     "out": dict(metavar="PATH", help="output path (default stdout)"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "svg": dict(action="store_true", help="also write an SVG bar chart"),
-    "steps": dict(type=int, default=DEFAULT_STEPS, metavar="N"),
-    "horizon": dict(type=int, default=None, metavar="T"),
-    "window": dict(type=_half_width, default=DEFAULT_WINDOW, metavar="W"),
+    "steps": dict(type=partial(_int_at_least, 0), default=DEFAULT_STEPS, metavar="N"),
+    "horizon": dict(type=partial(_int_at_least, 1), default=None, metavar="T"),
+    "window": dict(type=partial(_int_at_least, 0), default=DEFAULT_WINDOW, metavar="W"),
     "id": dict(type=int, default=None, metavar="K"),
     "psi": dict(default=None, metavar="RE,IM,RE,IM", help="initial state at the origin"),
 }

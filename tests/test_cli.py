@@ -274,6 +274,24 @@ def test_negative_window_is_rejected(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, minimum",
+    [
+        (("simulate",), "steps", "-1", 0),
+        (("figure", "--id", "1"), "steps", "-1", 0),
+        (("limit",), "horizon", "0", 1),
+        (("verify",), "horizon", "0", 1),
+        (("limit",), "horizon", "-5", 1),
+    ],
+)
+def test_out_of_range_steps_and_horizon_are_rejected(capsys, tmp_path, argv, flag, value, minimum):
+    out = tmp_path / "out.csv"
+    code, stdout, err = invoke(capsys, *argv, f"--{flag}", value, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert f"argument --{flag}: must be >= {minimum}, got {value}" in err
+    assert not out.exists()
+
+
 def test_exit_code_one_on_invalid_input(capsys, tmp_path):
     bad = [
         ("model", "--id", "9"),

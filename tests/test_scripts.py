@@ -64,3 +64,14 @@ def test_solver_survey_on_the_presets(tmp_path):
     proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first, status=1)
     assert "count differs: preset 1" in proc.stdout and "verdict differs: preset 2" in proc.stdout
 
+
+def test_walk_timing_prints_each_kernel_and_horizon():
+    proc = run_script("walk_timing.py", "--id", 2, "--horizons", 5, 20)
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        ("evolve", 5), ("evolve", 20), ("time_averaged", 5), ("time_averaged", 20)
+    ]
+    for _, horizon, ms, us_per_step in rows:
+        assert float(ms) > 0.0
+        # the same time in both columns, up to the rounding of each
+        assert abs(float(us_per_step) * int(horizon) / 1e3 - float(ms)) <= 5e-4 + 5e-3 * int(horizon) / 1e3
