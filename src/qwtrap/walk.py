@@ -17,11 +17,21 @@ margin's edge.  Past the cone the coin products keep zeros zero, so this
 is exact, and ``t`` steps from a point state cost about ``t**2 / 2`` site
 updates.  :func:`time_averaged` squares the region's real and imaginary
 parts into a block per parity, summed per site into a pairwise sum at
-each rebuild.  Amplitudes agree with a full-window ``einsum`` kernel to
-``t * eps`` (``eps`` = 2.2e-16) per entry and time averages to 1e-13.
-Against a kernel that updates every site of the cone the amplitudes are
-equal, and time averages, summed in another order, agree to ``16 eps``
-times the mass plus the smallest normal double.
+each rebuild.  Once ``|alpha|**t`` < 1e-308 the cone's tails turn
+subnormal, which is slow, so a rebuild that finds an outermost column of
+the cone below ``floor * 2**200`` sets every real or imaginary part below
+``floor`` to +0.0 and shrinks the cone to the nonzero columns left.
+:func:`evolve` flushes only subnormals (``floor`` = 2**-1022);
+:func:`time_averaged` scales the state exactly by a power of two to put
+its largest amplitude near 2**450 and flushes below 2**-511, so every
+square it keeps is normal.  By unitarity the flushes move a state by at
+most about 1e-304 (``evolve``) or 1e-285 of its norm (``time_averaged``)
+at ``T`` <= 4000; an all-subnormal state is flushed to zero.  Amplitudes
+agree with a full-window ``einsum`` kernel to ``t * eps`` (``eps`` =
+2.2e-16) per entry and time averages to 1e-13.  Against a kernel that
+updates every site of the cone the amplitudes are equal until a flush,
+and time averages, summed in another order, agree to ``16 eps`` times
+the mass plus the smallest normal double.
 """
 
 from __future__ import annotations
@@ -164,7 +174,7 @@ def _coin_coefficients(field: CoinField, lo: int, hi: int) -> np.ndarray:
     coin's matrix is built once and broadcast over the sites it rules.
     """
     table = np.array([coin_matrix(c) for c in (field.left, *field.middle, field.right)])
-    rows = np.clip(np.arange(lo, hi + 1) - field.x_minus, 0, len(field.middle) + 1)
+    rows = np.minimum(np.maximum(np.arange(lo, hi + 1) - field.x_minus, 0), len(field.middle) + 1)
     return np.take(table.reshape(-1, 4).T, rows, axis=1)
 
 
@@ -175,42 +185,58 @@ def step(state: WalkState, field: CoinField) -> WalkState:
 
 #: sites per side by which ``_propagate``'s region outgrows the light cone
 _MARGIN = 64
+#: flush floors: ``evolve`` drops only subnormals; ``time_averaged`` scales a state's
+#: largest amplitude to near ``2**_TOP`` and keeps only parts whose squares are normal
+_TINY, _TOP, _ROOT_TINY = np.finfo(np.float64).tiny, 450, 2.0**-511
 
 
-def _parity_classes(initial: WalkState, lo: int, n: int) -> Iterator[tuple[np.ndarray, int]]:
+def _parity_classes(initial: WalkState, lo: int, n: int, scale: int = 0) -> Iterator[tuple[np.ndarray, int]]:
     """``(amps, e)`` per parity class of ``initial`` that holds a nonzero amplitude.
 
-    ``amps`` holds the class's left- and right-movers, ``j`` standing for site
-    ``lo - 2 + 2 j + e``, on the window ``[lo, lo + n - 1]`` plus a spare index per side.
+    ``amps`` holds the class's left- and right-movers times ``2**scale``, ``j`` standing
+    for site ``lo - 2 + 2 j + e``, on the window ``[lo, lo + n - 1]`` plus a spare index per side.
     """
     m = (n + 6) // 2
-    for first in (0, 1):
+    for first in range(min(2, len(initial.amps))):  # a one-site state has one class
         rows = initial.amps[first::2]
-        if np.any(rows):
+        if rows.any():
             site = initial.lo + first - lo + 2  # counted from lo - 2
             amps = np.zeros((2, m), dtype=np.complex128)
             amps[:, site // 2 : site // 2 + len(rows)] = rows.T
+            if scale:  # exact: a power of two
+                np.ldexp(amps.view(np.float64), scale, out=amps.view(np.float64))
             yield amps, site % 2
 
 
-def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int) -> Iterator[tuple[int, slice]]:
+def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int,
+               floor: float) -> Iterator[tuple[int, slice]]:
     """Steps 0, 1, .., ``t`` of one parity class, in place on its ``(2, m)`` amplitudes.
 
     Index ``j`` stands for site ``base + 2 j + e``; each step flips ``e``.
     Yields ``(e, region)`` at each step: the slice ``region`` holds every
     nonzero entry and stays the same object until it is rebuilt.  A step
     leaves the left-mover at its last index and the right-mover at its
-    first as they were, so the cone is kept one index inside it.
+    first as they were, so the cone ``lo .. hi`` is kept one index inside it.
+    A rebuild that finds the cone's outermost column on either side below ``floor * 2**200``
+    sets every part in the region below ``floor`` to +0.0 and shrinks ``lo .. hi`` to the
+    nonzero columns left; by unitarity a flush moves the state by at most ``sqrt(4 m) * floor``.
     """
     m = amps.shape[1]
     coins = _coin_coefficients(field, base, base + 2 * m - 1).reshape(4, m, 2)
     coins = np.ascontiguousarray(coins.transpose(2, 0, 1))  # a, b, c, d on even, then odd sites
     left, right = amps
     scratch = np.empty((4, m), dtype=np.complex128)
-    occupied = np.flatnonzero(np.any(amps, axis=0))
-    lo, hi, region = int(occupied[0]), int(occupied[-1]), None
+    occupied = np.flatnonzero(amps.any(axis=0))
+    lo, hi = int(occupied[0]), int(occupied[-1])
+    r, s, region, guard = lo, hi + 1, None, floor * 2.0**200
     for remaining in range(t, -1, -1):
         if region is None or remaining and (lo <= r or hi >= s - 1):
+            if min(max(abs(left[j]), abs(right[j])) for j in (lo, hi)) < guard:
+                floats = amps[:, r:s].view(np.float64)
+                floats[np.abs(floats, out=scratch.view(np.float64)[:2, : 2 * (s - r)]) < floor] = 0.0
+                kept = floats.any(axis=0)
+                if kept.any():  # else the class stays zero
+                    lo, hi = r + int(kept.argmax()) // 2, s - 1 - int(kept[::-1].argmax()) // 2
             r, s = max(1, lo - _MARGIN // 2), min(m - 1, hi + _MARGIN // 2 + 2)
             region = slice(r, s)
             aL, bR, cL, dR = (row[: s - r] for row in scratch)
@@ -236,7 +262,7 @@ def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
     lo, hi = window_for(t, field, (initial.lo, initial.hi))
     out = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
     for amps, e in _parity_classes(initial, lo, len(out)):
-        for e, _ in _propagate(field, lo - 2, amps, e, t):
+        for e, _ in _propagate(field, lo - 2, amps, e, t, _TINY):
             pass
         out[e::2] = amps[:, 1 : 1 + len(out[e::2])].T  # the classes occupy disjoint sites
     return WalkState(lo, out)
@@ -252,10 +278,9 @@ class _PairwiseSum:
     """Binary-counter pairwise accumulation with O(log n) partial blocks.
 
     A block is ``(offset, values)``: the slice at ``offset`` of an array
-    that is zero elsewhere.  Each term must cover the slices of all earlier
-    terms, as a growing light cone does, and hold no negative zeros; the
-    sums then equal, bit for bit, those of the zero-padded arrays, because
-    adding an exact zero changes nothing.
+    that is zero elsewhere.  Terms may grow, shrink or shift; if they hold
+    no negative zeros, the sums equal, bit for bit, those of the zero-padded
+    arrays, because adding an exact zero changes nothing.
     """
 
     def __init__(self) -> None:
@@ -263,10 +288,13 @@ class _PairwiseSum:
 
     @staticmethod
     def _merge(outer: tuple[int, np.ndarray], inner: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-        """Add ``inner`` into ``outer``'s values in place; ``outer`` covers ``inner``."""
-        start = inner[0] - outer[0]
-        outer[1][start : start + len(inner[1])] += inner[1]
-        return outer
+        """Add ``inner`` into ``outer``'s values, in place if ``outer`` covers ``inner``."""
+        (start, values), (offset, term) = outer, inner
+        first, stop = min(start, offset), max(start + len(values), offset + len(term))
+        if (first, stop) != (start, start + len(values)):
+            start, values = first, np.pad(values, (start - first, stop - start - len(values)))
+        values[offset - start : offset - start + len(term)] += term
+        return start, values
 
     def add(self, offset: int, term: np.ndarray) -> None:
         """Accumulate ``term`` at ``offset``; the sum takes ownership of ``term``."""
@@ -296,11 +324,12 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
         raise ValueError("horizon must be >= 1")
     lo, hi = window_for(horizon - 1, field, (initial.lo, initial.hi))
     masses = np.zeros(hi - lo + 1)
-    for amps, e in _parity_classes(initial, lo, len(masses)):
+    scale = _TOP - int(np.frexp(np.abs(initial.amps).max())[1])
+    for amps, e in _parity_classes(initial, lo, len(masses), scale):
         floats, acc, region = amps.view(np.float64), _PairwiseSum(), None
         def fold() -> None:  # the region's squares, summed per site, into the pairwise sum
             acc.add(2 * region.start, blocks.reshape(2, 2, -1, 2).sum(axis=(1, 3)).T.reshape(-1))
-        for e, now in _propagate(field, lo - 2, amps, e, horizon - 1):
+        for e, now in _propagate(field, lo - 2, amps, e, horizon - 1, _ROOT_TINY):
             if now is not region:
                 if region is not None:
                     fold()
@@ -312,5 +341,6 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
         fold()
         offset, total = acc.value()
         k = offset - 2  # offsets count from lo - 2; past the window every mass is zero
-        masses[k : k + len(total)] += total[: len(masses) - k] / horizon
+        total = np.divide(total[: len(masses) - k], horizon, out=total[: len(masses) - k])
+        masses[k : k + len(total)] += np.ldexp(total, -2 * scale, out=total)  # exact for normal masses
     return Distribution(lo, masses)

@@ -75,3 +75,12 @@ def test_walk_timing_prints_each_kernel_and_horizon():
         assert float(ms) > 0.0
         # the same time in both columns, up to the rounding of each
         assert abs(float(us_per_step) * int(horizon) / 1e3 - float(ms)) <= 5e-4 + 5e-3 * int(horizon) / 1e3
+
+
+def test_walk_timing_runs_a_single_defect_field_of_given_modulus():
+    proc = run_script("walk_timing.py", "--modulus", 0.3, "--horizons", 5)
+    assert proc.stdout.splitlines()[0] == "single defect, |alpha| = 0.3: best of 5"
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(r[0], int(r[1])) for r in rows] == [("evolve", 5), ("time_averaged", 5)]
+    for value in ("0", "1.5"):
+        assert "must be in (0, 1]" in run_script("walk_timing.py", "--modulus", value, status=2).stderr

@@ -15,8 +15,13 @@ from qwtrap.walk import (
     Distribution,
     WalkState,
     _MARGIN,
+    _ROOT_TINY,
+    _TINY,
+    _TOP,
     _coin_coefficients,
     _PairwiseSum,
+    _parity_classes,
+    _propagate,
     defect_field,
     evolve,
     probability,
@@ -480,6 +485,118 @@ def test_margin_region_kernel_equals_the_per_step_cone_kernel(kind, k):
             assert not np.any(np.signbit(avg.masses)), t
 
 
+def _outer_modulus_case(modulus):
+    """Single-defect field whose outer coins have ``|alpha| = modulus``, and a point state."""
+    rng = np.random.default_rng(9300 + round(100 * modulus))
+
+    def outer():
+        pa, pb, d = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        return make_coin(modulus * np.exp(1j * pa), math.sqrt(1.0 - modulus**2) * np.exp(1j * pb), d)
+
+    field = defect_field(outer(), random_coin(rng), outer())
+    return field, WalkState.point(*random_unit_psi(rng))
+
+
+#: outer ``|alpha|`` whose cone edge falls past the smallest normal double within 2000 steps;
+#: below about 0.11 it falls more than 200 binades between two region rebuilds
+FLUSH_MODULI = (0.05, 0.1, 0.3)
+FLUSH_HORIZONS = (600, 1200, 2000)
+
+
+@pytest.mark.parametrize("modulus", FLUSH_MODULI)
+def test_flushing_kernel_matches_both_references(modulus):
+    """Where the kernel flushes, the bounds against both reference kernels still hold.
+
+    Against the full-window reference: amplitudes within ``t * eps`` and
+    averages within ``MASS_TOL``; against the per-step cone kernel, which
+    carries every subnormal, averages within ``16 eps`` of the mass plus
+    the smallest normal double, with no negative-zero mass.
+    """
+    field, initial = _outer_modulus_case(modulus)
+    states, averages = _reference_ladder(initial, field, FLUSH_HORIZONS)
+    for t in FLUSH_HORIZONS:
+        out = evolve(initial, field, t)
+        want = _crop(states[t], out.lo, len(out.amps))
+        assert np.all(np.abs(out.amps - want) <= t * EPS), (t, np.abs(out.amps - want).max())
+        avg = time_averaged(initial, field, t)
+        want = _crop(averages[t], avg.lo, len(avg.masses))
+        assert np.all(np.abs(avg.masses - want) <= MASS_TOL), (t, np.abs(avg.masses - want).max())
+        lo, masses = _per_step_average(initial, field, t)
+        bound = 16 * EPS * masses + np.finfo(float).tiny
+        assert avg.lo == lo and np.all(np.abs(avg.masses - masses) <= bound), t
+        assert not np.any(np.signbit(avg.masses)), t
+
+
+@pytest.mark.parametrize("modulus", FLUSH_MODULI)
+def test_flush_leaves_no_part_below_the_floor(modulus):
+    """At each rebuild that flushes, every real or imaginary part is 0 or at least ``floor``.
+
+    Run for both floors: ``evolve``'s on the state as given and
+    ``time_averaged``'s on the state scaled as ``time_averaged`` scales it.
+    The kernel's cone holds every nonzero column, so if an outermost nonzero
+    column is below ``floor * 2**200`` at a rebuild, the cone's edge was
+    too, and the rebuild flushed.
+    """
+    field, initial = _outer_modulus_case(modulus)
+    t = FLUSH_HORIZONS[-1]
+    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    scale = _TOP - math.frexp(float(np.abs(initial.amps).max()))[1]
+    for floor, shift in ((_TINY, 0), (_ROOT_TINY, scale)):
+        flushes = 0
+        for amps, e in _parity_classes(initial, lo, hi - lo + 1, shift):
+            region = None
+            for e, now in _propagate(field, lo - 2, amps, e, t, floor):
+                if now is region:
+                    continue
+                region = now
+                columns = np.abs(amps).max(axis=0)
+                kept = np.flatnonzero(columns)
+                if min(columns[kept[0]], columns[kept[-1]]) < floor * 2.0**200:
+                    flushes += 1
+                    parts = np.abs(amps.view(np.float64))
+                    assert np.all((parts == 0.0) | (parts >= floor)), (floor, now)
+        assert flushes > 0, floor
+
+
+def test_extreme_norms_stay_finite_and_scale_exactly():
+    """States scaled by ``1e-310``, ``2**-300`` and ``2**500`` run without overflow or NaN.
+
+    ``time_averaged`` scales a state by a power of two before it runs and
+    undoes that at the end, so ``2**-300`` times a state averages to
+    exactly ``2**-600`` times its average.  A state whose components are
+    all subnormal is flushed to zero by ``evolve`` before its first step, and its
+    averages, below the smallest subnormal, round to zero.
+    """
+    source = PRESETS[0]
+    field, psi = source.field(), np.array(source.psi)
+    for c in (1e-310, 2.0**-300, 2.0**500):
+        initial = WalkState.point(*(c * psi))
+        for t in (1, _MARGIN + 1, 600):
+            for dist in (probability(evolve(initial, field, t)), time_averaged(initial, field, t)):
+                assert np.all(np.isfinite(dist.masses)) and not np.any(np.signbit(dist.masses)), (c, t)
+    subnormal = WalkState.point(*(1e-310 * psi))
+    assert not np.any(evolve(subnormal, field, 1).amps)
+    assert not np.any(time_averaged(subnormal, field, 600).masses)
+    base = time_averaged(WalkState.point(*psi), field, 600)
+    scaled = time_averaged(WalkState.point(*(2.0**-300 * psi)), field, 600)
+    assert scaled.lo == base.lo and np.array_equal(scaled.masses, 2.0**-600 * base.masses)
+
+
+def test_time_averaged_follows_a_pulse_whose_wake_is_flushed():
+    """A right-mover on coins with ``|beta|`` = 1e-295 leaves a wake that ``time_averaged`` flushes.
+
+    Scaled by about 2**450 the wake stays below 2**-511, so each flush
+    moves the cone's left edge right past the last region: the terms of the
+    pairwise sum then stop covering the earlier ones.
+    """
+    field = uniform_field(make_coin(np.exp(0.4j), 1e-295 * np.exp(1.3j), 0.7))
+    initial = WalkState.point(0.0, 1.0)
+    for t in (3 * _MARGIN, 300):
+        avg = time_averaged(initial, field, t)
+        lo, masses = _per_step_average(initial, field, t)
+        assert avg.lo == lo and np.all(np.abs(avg.masses - masses) <= 16 * EPS * masses + _TINY), t
+
+
 def test_coin_coefficients_equal_the_per_site_stack(rng):
     wide = _core_field(rng, 9)  # core sites x_minus + 1 .. x_plus - 1
     windows = [
@@ -518,3 +635,25 @@ def test_cone_sliced_pairwise_sum_is_bit_identical(rng):
         total[offset : offset + len(values)] = values
         assert np.array_equal(total, padded.value()), k
         assert offset == lo and len(values) == hi - lo
+
+
+def test_pairwise_sum_of_shrinking_and_shifting_terms_is_bit_identical(rng):
+    """A flush can shrink the region, so a term need not cover the earlier ones."""
+    width = 61
+    sliced, padded = _PairwiseSum(), _PaddedPairwiseSum()
+    first, stop = width, 0
+    for k in range(45):
+        lo = int(rng.integers(0, width - 1))
+        hi = int(rng.integers(lo + 1, width + 1))
+        first, stop = min(first, lo), max(stop, hi)
+        term = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 1)
+        term[rng.random(hi - lo) < 0.2] = 0.0
+        padded_term = np.zeros(width)
+        padded_term[lo:hi] = term
+        sliced.add(lo, term.copy())
+        padded.add(padded_term)
+        offset, values = sliced.value()
+        total = np.zeros(width)
+        total[offset : offset + len(values)] = values
+        assert np.array_equal(total, padded.value()), k
+        assert offset == first and len(values) == stop - first
