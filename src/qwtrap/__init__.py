@@ -18,16 +18,16 @@ The package splits into six layers:
     pinned parameter presets used by the experiment scripts and the
     verification harness.
 ``verification``
-    end-to-end consistency checks (residuals, phase match, limit vs
-    simulated distribution, mass identities) with JSON-line reports.
+    end-to-end consistency checks (residuals, phase match, mass
+    identity, limit vs simulated distribution, trapping verdicts) with
+    JSON-line reports.
+
+The package namespace exports the documented API, the names listed in
+the README's Library section; every other public name is imported from
+its own module (``qwtrap.spectral.transfer_matrix``, ``qwtrap.figures.PRESETS``).
 """
 
-from .algebra import (
-    Coin,
-    TWO_PI,
-    coin_matrix,
-    make_coin,
-)
+from .algebra import Coin, make_coin
 from .walk import (
     CoinField,
     Distribution,
@@ -35,116 +35,64 @@ from .walk import (
     defect_field,
     evolve,
     probability,
-    step,
     time_averaged,
     uniform_field,
-    window_for,
 )
 from .spectral import (
-    DEDUPE_TOL,
     EigenPair,
     GeometricVector,
-    INDEPENDENCE_TOL,
-    NoEigenvalueError,
-    NotInAdmissibleSetError,
-    RESIDUAL_ACCEPT,
-    SpectralReport,
-    TransferEigen,
-    admissible_arcs,
     analyze,
     build_eigenvector,
-    contracting_zeta,
-    discriminant,
-    eigen_residual,
-    expanding_zeta,
     find_eigenphases,
-    in_admissible_set,
     is_strongly_trapped,
     limit_distribution,
-    transfer_eigen,
-    transfer_matrix,
-    trapped_mass,
 )
 from .models import (
     ConstraintError,
     DefectEigenForm,
     DegeneracyError,
-    FAMILY_ROLES,
     FAMILY_TRAPPING,
-    MODEL_FUNCTIONS,
     ModelReport,
-    TrappingClass,
     defect_closed_form,
-    family_report,
     model1,
     model2,
     model3,
     model4,
     model5,
 )
-from .figures import FigurePreset, PRESETS, preset
-from .verification import CheckReport, run_all, write_reports
+from .verification import run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Coin",
-    "TWO_PI",
-    "coin_matrix",
     "make_coin",
     "CoinField",
     "Distribution",
     "WalkState",
     "defect_field",
+    "uniform_field",
     "evolve",
     "probability",
-    "step",
     "time_averaged",
-    "uniform_field",
-    "window_for",
-    "DEDUPE_TOL",
     "EigenPair",
     "GeometricVector",
-    "INDEPENDENCE_TOL",
-    "NoEigenvalueError",
-    "NotInAdmissibleSetError",
-    "RESIDUAL_ACCEPT",
-    "SpectralReport",
-    "TransferEigen",
-    "admissible_arcs",
     "analyze",
     "build_eigenvector",
-    "contracting_zeta",
-    "discriminant",
-    "eigen_residual",
-    "expanding_zeta",
     "find_eigenphases",
-    "in_admissible_set",
     "is_strongly_trapped",
     "limit_distribution",
-    "transfer_eigen",
-    "transfer_matrix",
-    "trapped_mass",
     "ConstraintError",
     "DefectEigenForm",
     "DegeneracyError",
-    "FAMILY_ROLES",
     "FAMILY_TRAPPING",
-    "MODEL_FUNCTIONS",
     "ModelReport",
-    "TrappingClass",
     "defect_closed_form",
-    "family_report",
     "model1",
     "model2",
     "model3",
     "model4",
     "model5",
-    "FigurePreset",
-    "PRESETS",
-    "preset",
-    "CheckReport",
     "run_all",
-    "write_reports",
     "__version__",
 ]

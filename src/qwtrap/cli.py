@@ -19,10 +19,10 @@ role::
     [origin]
     ...
 
-Roles ``minus`` and ``plus`` set the two asymptotic coins, ``origin`` the
-site-0 coin, and optional ``middle_<k>`` sections override further core
-sites (unspecified core sites fall back to the nearest asymptote, site 0
-to the plus side).  Each coin may be set by one section only.  Complex
+Roles ``minus`` and ``plus`` set the two asymptotic coins, ``origin`` (or
+``middle_0``) the site-0 coin, and optional ``middle_<k>`` sections
+override further core sites (unspecified core sites fall back to the
+nearest asymptote, site 0 to the plus side).  Each coin may be set by one section only.  Complex
 entries are ``re,im`` pairs; ``delta`` is a plain float.  ``--psi``
 overrides the initial state, which is ``(1, 0)`` with a config and the
 preset's state without one.
@@ -120,7 +120,10 @@ def _coin_from_section(section, name: str) -> Coin:
 
 
 def _read_roles(path: str) -> dict:
-    """Coins by role from a config file: 'minus', 'plus', 'origin', ints."""
+    """Coins by role from a config file: 'minus', 'plus', 'origin', nonzero ints.
+
+    ``[origin]`` and ``[middle_0]`` both set the site-0 coin, stored as 'origin'.
+    """
     cp = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,15 +138,14 @@ def _read_roles(path: str) -> dict:
             role = low
         elif low.startswith("middle_"):
             try:
-                role = int(low[len("middle_"):])
+                role = int(low[len("middle_"):]) or "origin"
             except ValueError:
                 raise ValueError(f"section [{section}]: middle sections are 'middle_<int>'") from None
         else:
             raise ValueError(f"unknown config section [{section}]")
-        key = 0 if role == "origin" else role  # [origin] is the site-0 coin
-        if key in sections:
-            raise ValueError(f"sections [{sections[key]}] and [{section}] set the same coin")
-        sections[key] = section
+        if role in sections:
+            raise ValueError(f"sections [{sections[role]}] and [{section}] set the same coin")
+        sections[role] = section
         roles[role] = _coin_from_section(cp[section], section)
     return roles
 
@@ -154,10 +156,7 @@ def _field_from_roles(roles: dict) -> CoinField:
             raise ValueError(f"config must define the [{side}] coin")
     minus, plus = roles["minus"], roles["plus"]
     sites = {k: v for k, v in roles.items() if isinstance(k, int)}
-    if "origin" in roles:
-        sites[0] = roles["origin"]
-    if not sites:
-        sites[0] = plus
+    sites[0] = roles.get("origin", plus)  # unset, site 0 takes the plus side
     x_minus = min(-1, min(sites) - 1)
     x_plus = max(1, max(sites) + 1)
     middle = tuple(
@@ -351,7 +350,7 @@ def _cmd_trap(args: argparse.Namespace) -> int:
 
 def _model_coins(roles: dict, model_id: int) -> tuple[Coin, Coin | None, Coin]:
     """The ``(minus, origin, plus)`` coins for family ``model_id``, checked."""
-    extra = sorted(k for k in roles if isinstance(k, int) and k != 0)
+    extra = sorted(k for k in roles if isinstance(k, int))
     if extra:
         names = ", ".join(f"[middle_{k}]" for k in extra)
         raise ValueError(

@@ -580,7 +580,6 @@ class SpectralReport:
     """Full spectral analysis of one coin field."""
 
     eigenpairs: tuple[EigenPair, ...]
-    arcs: tuple[tuple[float, float], ...]
     strongly_trapped: bool
 
 
@@ -588,4 +587,4 @@ def analyze(field: CoinField) -> SpectralReport:
     """Locate all eigenphases, build their eigenvectors, classify trapping."""
     phases = find_eigenphases(field)
     pairs = tuple(build_eigenvector(field, lam) for lam in phases)
-    return SpectralReport(pairs, admissible_arcs(field), is_strongly_trapped(pairs))
+    return SpectralReport(pairs, is_strongly_trapped(pairs))

@@ -7,9 +7,13 @@ family classification and by the origin-rank test.  Checks reduce each
 comparison to a single scalar metric with a pinned threshold; a check
 passes exactly when its metric is finite and at most the threshold.
 
-``run_all`` executes the full battery over the figure catalogue and
-returns reports in canonical order (check name, then label), so repeated
-runs produce identical output byte for byte.
+``run_all`` executes the full battery over the figure catalogue: it solves
+each preset's field once and hands that spectrum to every check
+(``eigen_residual``, ``phase_match``, ``mass_identity``,
+``limit_vs_simulation``, and ``trapping_table``, which counts the routes
+whose verdict differs from the catalogue's).  Reports come in canonical
+order (check name, then label), so repeated runs produce identical output
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,19 +23,19 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .walk import CoinField, WalkState, time_averaged
+from .walk import CoinField, Distribution, WalkState, time_averaged
 from .spectral import (
+    RESIDUAL_ACCEPT,
     analyze,
     eigen_residual,
     find_eigenphases,  # noqa: F401  (bench/test_bench.py reaches the solver through this module)
     limit_distribution,
     trapped_mass,
-    EigenPair,
     NotInAdmissibleSetError,
 )
-from .figures import PRESETS, FigurePreset
+from .models import TrappingClass
+from .figures import PRESETS
 
-RESIDUAL_THRESHOLD = 1e-9
 PHASE_MATCH_THRESHOLD = 1e-8
 LIMIT_VS_SIM_THRESHOLD = 0.01
 MASS_IDENTITY_THRESHOLD = 1e-10
@@ -81,7 +85,7 @@ def check_eigen_residuals(
         except NotInAdmissibleSetError:
             metric = math.inf
         out.append(
-            CheckReport("eigen_residual", f"{label}[{k}]", metric, RESIDUAL_THRESHOLD)
+            CheckReport("eigen_residual", f"{label}[{k}]", metric, RESIDUAL_ACCEPT)
         )
     return tuple(out)
 
@@ -89,51 +93,21 @@ def check_eigen_residuals(
 def check_limit_vs_simulation(
     field: CoinField,
     psi: tuple[complex, complex],
+    exact: Distribution,
     horizon: int = DEFAULT_HORIZON,
-    window: int = DEFAULT_WINDOW,
-    threshold: float = LIMIT_VS_SIM_THRESHOLD,
     label: str = "",
 ) -> CheckReport:
-    """Finite-horizon time average against the spectral limit distribution.
+    """Finite-horizon time average from ``psi`` against its limit distribution ``exact``.
 
-    The metric is the largest pointwise gap on ``|x| <= window``.  The
-    spectral side sums over all eigenphases found by the grid solver; an
-    empty point spectrum makes it identically zero, so the check also
-    covers the escaping (zero trapped mass) cases.
+    The metric is the largest pointwise gap on ``exact``'s window.  An
+    empty point spectrum makes ``exact`` identically zero, so the check
+    also covers the escaping (zero trapped mass) cases.
     """
-    pairs = analyze(field).eigenpairs
-    return _limit_gap(field, psi, pairs, horizon, window, threshold, label)
-
-
-def _limit_gap(
-    field: CoinField,
-    psi: tuple[complex, complex],
-    pairs: Sequence[EigenPair],
-    horizon: int,
-    window: int,
-    threshold: float,
-    label: str,
-) -> CheckReport:
-    initial = WalkState.point(*psi)
-    exact = limit_distribution(pairs, initial, window=(-window, window))
-    empirical = time_averaged(initial, field, horizon)
+    empirical = time_averaged(WalkState.point(*psi), field, horizon)
     metric = max(
-        abs(empirical.mass_at(x) - exact.mass_at(x)) for x in range(-window, window + 1)
+        abs(empirical.mass_at(x) - exact.mass_at(x)) for x in range(exact.lo, exact.hi + 1)
     )
-    return CheckReport("limit_vs_simulation", label, metric, threshold)
-
-
-def check_trapping_table() -> tuple[CheckReport, ...]:
-    """Origin-rank trapping verdicts against the expected classification."""
-    return tuple(
-        _trapping_row(preset, analyze(preset.field()).strongly_trapped)
-        for preset in PRESETS
-    )
-
-
-def _trapping_row(preset: FigurePreset, strongly_trapped: bool) -> CheckReport:
-    metric = 0.0 if strongly_trapped == preset.strongly_trapped else 1.0
-    return CheckReport("trapping_table", f"fig{preset.fig_id}", metric, 0.0)
+    return CheckReport("limit_vs_simulation", label, metric, LIMIT_VS_SIM_THRESHOLD)
 
 
 def run_all(
@@ -171,8 +145,8 @@ def run_all(
             CheckReport("mass_identity", label, mass_gap, MASS_IDENTITY_THRESHOLD)
         )
 
-        reports.append(
-            _limit_gap(field, preset.psi, pairs, horizon, window, LIMIT_VS_SIM_THRESHOLD, label)
-        )
-        reports.append(_trapping_row(preset, spectrum.strongly_trapped))
+        reports.append(check_limit_vs_simulation(field, preset.psi, exact, horizon, label))
+        closed = rep.trapping_class is TrappingClass.STRONGLY_TRAPPED
+        wrong = sum(v != preset.strongly_trapped for v in (spectrum.strongly_trapped, closed))
+        reports.append(CheckReport("trapping_table", label, float(wrong), 0.0))
     return tuple(sorted(reports, key=lambda r: (r.name, r.label)))

@@ -159,7 +159,7 @@ class Distribution:
         return np.arange(self.lo, self.lo + len(self.masses))
 
 
-def window_for(t: int, field: CoinField, support: tuple[int, int]) -> tuple[int, int]:
+def window_for(t: int, support: tuple[int, int]) -> tuple[int, int]:
     """Window certain to contain the light cone of ``support`` after ``t`` steps."""
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -176,11 +176,6 @@ def _coin_coefficients(field: CoinField, lo: int, hi: int) -> np.ndarray:
     table = np.array([coin_matrix(c) for c in (field.left, *field.middle, field.right)])
     rows = np.minimum(np.maximum(np.arange(lo, hi + 1) - field.x_minus, 0), len(field.middle) + 1)
     return np.take(table.reshape(-1, 4).T, rows, axis=1)
-
-
-def step(state: WalkState, field: CoinField) -> WalkState:
-    """One application of ``U = S C``; the window grows by one site per side."""
-    return WalkState(state.lo - 1, evolve(state, field, 1).amps[1:-1])
 
 
 #: sites per side by which ``_propagate``'s region outgrows the light cone
@@ -254,12 +249,12 @@ def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int,
 
 
 def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
-    """``t``-fold composition of :func:`step` on a preallocated light-cone window."""
+    """``t`` applications of ``U = S C`` on a preallocated light-cone window."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return initial
-    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    lo, hi = window_for(t, (initial.lo, initial.hi))
     out = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
     for amps, e in _parity_classes(initial, lo, len(out)):
         for e, _ in _propagate(field, lo - 2, amps, e, t, _TINY):
@@ -322,7 +317,7 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
     """Average of the site distributions over times ``0 .. horizon - 1``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = window_for(horizon - 1, field, (initial.lo, initial.hi))
+    lo, hi = window_for(horizon - 1, (initial.lo, initial.hi))
     masses = np.zeros(hi - lo + 1)
     scale = _TOP - int(np.frexp(np.abs(initial.amps).max())[1])
     for amps, e in _parity_classes(initial, lo, len(masses), scale):

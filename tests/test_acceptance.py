@@ -61,7 +61,7 @@ def circ_gap(a: float, b: float) -> float:
 
 def _norm_drift_and_final(field, psi, t):
     """Max |norm^2 - 1| over t steps on a preallocated light-cone window."""
-    lo, hi = window_for(t, field, (0, 0))
+    lo, hi = window_for(t, (0, 0))
     coins = np.stack([coin_matrix(field.coin(x)) for x in range(lo, hi + 1)])
     amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
     amps[-lo] = psi
@@ -162,10 +162,11 @@ def test_a04_eigenvector_fixed_points(closed_of, spectral_of):
     assert worst_norm <= 1e-10
 
 
-def test_a05_reference_limit_distribution(closed_of):
+def test_a05_reference_limit_distribution(closed_of, spectral_of):
     rep = closed_of(1)
     origin_gap = abs(rep.nu_bar(R, R, 0) - 2.0 / 9.0)
-    check = check_limit_vs_simulation(rep.field, rep.psi, horizon=2000, window=20)
+    exact = limit_distribution(spectral_of(1).eigenpairs, WalkState.point(*rep.psi), window=(-20, 20))
+    check = check_limit_vs_simulation(rep.field, rep.psi, exact, horizon=2000)
     ok = origin_gap <= 1e-8 and check.passed
     record_acceptance(
         5, TITLES[5], ok,

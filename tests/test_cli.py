@@ -356,6 +356,19 @@ def test_families_3_and_4_reject_an_origin_coin_unlike_plus(capsys, tmp_path):
     assert code == 0 and with_origin == without_origin
 
 
+def test_middle_0_sets_the_origin_coin_of_a_family(capsys, tmp_path, fig1_config):
+    # [middle_0] and [origin] set the same site-0 coin, for `model` as for `eigen`
+    as_middle = tmp_path / "middle.ini"
+    as_middle.write_text(Path(fig1_config).read_text().replace("[origin]", "[middle_0]"))
+    code, with_origin, _ = invoke(capsys, "model", "--id", "1", "--config", fig1_config)
+    assert code == 0 and with_origin
+    code, with_middle, _ = invoke(capsys, "model", "--id", "1", "--config", str(as_middle))
+    assert code == 0 and with_middle == with_origin
+    code, out, err = invoke(capsys, "model", "--id", "4", "--config", str(as_middle))
+    assert code == 1 and out == ""
+    assert "[origin]" in err and "[plus]" in err
+
+
 def test_exit_code_two_on_degenerate_family(capsys, tmp_path):
     a_o = math.sqrt(1e-13)
     b_o = -math.sqrt(1.0 - 1e-13)

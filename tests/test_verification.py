@@ -6,15 +6,18 @@ import math
 
 import pytest
 
+import qwtrap.spectral as spectral
 from qwtrap.figures import preset
+from qwtrap.models import ModelReport, TrappingClass
+from qwtrap.spectral import limit_distribution
 from qwtrap.verification import (
     CheckReport,
     check_eigen_residuals,
     check_limit_vs_simulation,
-    check_trapping_table,
     run_all,
     write_reports,
 )
+from qwtrap.walk import WalkState
 
 HORIZON = 400
 WINDOW = 10
@@ -79,21 +82,53 @@ def test_eigen_residuals_empty_phase_list(closed_of):
     assert check_eigen_residuals(closed_of(1).field, [], "none") == ()
 
 
-def test_limit_vs_simulation_single(closed_of):
+def limit_of(pairs, psi):
+    return limit_distribution(pairs, WalkState.point(*psi), window=(-WINDOW, WINDOW))
+
+
+def test_limit_vs_simulation_single(closed_of, spectral_of):
     rep = closed_of(1)
-    check = check_limit_vs_simulation(
-        rep.field, rep.psi, horizon=HORIZON, window=WINDOW, label="fig1"
-    )
+    exact = limit_of(spectral_of(1).eigenpairs, rep.psi)
+    check = check_limit_vs_simulation(rep.field, rep.psi, exact, horizon=HORIZON, label="fig1")
     assert check.name == "limit_vs_simulation"
     assert check.passed
     assert 0.0 < check.metric < 0.01
 
 
-def test_trapping_table_matches_catalogue():
-    checks = check_trapping_table()
-    assert len(checks) == 7
-    assert all(c.passed for c in checks)
+def test_limit_vs_simulation_fails_against_a_wrong_limit(closed_of, spectral_of):
+    rep = closed_of(1)
+    partial = limit_of(spectral_of(1).eigenpairs[1:], rep.psi)  # one eigenvector short
+    assert not check_limit_vs_simulation(rep.field, rep.psi, partial, horizon=HORIZON).passed
+
+
+def test_trapping_table_matches_catalogue(battery):
+    checks = [r for r in battery if r.name == "trapping_table"]
     assert [c.label for c in checks] == [f"fig{k}" for k in range(1, 8)]
+    assert all(c.metric == 0.0 and c.passed for c in checks)
+
+
+def flipped_family_class(monkeypatch):
+    verdict = ModelReport.trapping_class.fget
+    flip = {
+        TrappingClass.STRONGLY_TRAPPED: TrappingClass.NOT_STRONGLY_TRAPPED,
+        TrappingClass.NOT_STRONGLY_TRAPPED: TrappingClass.STRONGLY_TRAPPED,
+    }
+    monkeypatch.setattr(ModelReport, "trapping_class", property(lambda rep: flip[verdict(rep)]))
+
+
+def flipped_solver_verdict(monkeypatch):
+    verdict = spectral.is_strongly_trapped
+    monkeypatch.setattr(spectral, "is_strongly_trapped", lambda pairs: not verdict(pairs))
+
+
+@pytest.mark.parametrize("wrong_route", [flipped_family_class, flipped_solver_verdict])
+def test_trapping_table_fails_when_one_route_disagrees(monkeypatch, battery, wrong_route):
+    wrong_route(monkeypatch)
+    for got, want in zip(run_all(horizon=HORIZON, window=WINDOW), battery, strict=True):
+        if got.name == "trapping_table":
+            assert got.metric == 1.0 and not got.passed, got
+        else:
+            assert got == want
 
 
 def test_run_all_full_battery_passes(battery):
@@ -127,8 +162,6 @@ def test_run_all_covers_every_figure(battery):
 
 
 def test_run_all_solves_each_field_once(monkeypatch):
-    import qwtrap.spectral as spectral
-
     solve = spectral.find_eigenphases
     fields = []
 

@@ -25,7 +25,6 @@ from qwtrap.walk import (
     defect_field,
     evolve,
     probability,
-    step,
     time_averaged,
     uniform_field,
     window_for,
@@ -112,15 +111,6 @@ def test_single_step_hadamard_from_origin():
     assert probability(out).total() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_step_matches_evolve():
-    s = WalkState.point(R, 1j * R)
-    f = defect_field(HADAMARD, make_coin(R, 1j * R, 1.0), HADAMARD)
-    via_step = step(step(step(s, f), f), f)
-    via_evolve = evolve(s, f, 3)
-    for x in range(-4, 5):
-        assert np.allclose(via_step.amplitude(x), via_evolve.amplitude(x), atol=1e-14)
-
-
 def test_light_cone_exact_zeros(rng):
     f = random_field(rng)
     out = evolve(WalkState.point(*random_unit_psi(rng)), f, 9)
@@ -163,10 +153,10 @@ def test_probability_total_bounded_for_unit_states(rng):
 
 
 def test_window_for_contains_light_cone():
-    lo, hi = window_for(10, uniform_field(HADAMARD), (0, 0))
+    lo, hi = window_for(10, (0, 0))
     assert lo <= -10 and hi >= 10
     with pytest.raises(ValueError):
-        window_for(-1, uniform_field(HADAMARD), (0, 0))
+        window_for(-1, (0, 0))
 
 
 def test_time_averaged_total_one(rng):
@@ -241,7 +231,7 @@ def _reference_shift(mixed):
 
 
 def _reference_propagate(initial, field, t):
-    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    lo, hi = window_for(t, (initial.lo, initial.hi))
     amps = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
     amps[initial.lo - lo : initial.hi - lo + 1] = initial.amps
     coins = _reference_coin_stack(field, lo, hi)
@@ -344,7 +334,7 @@ def test_cone_kernel_matches_full_window_reference(kind, k):
         for t in horizons:
             out = evolve(initial, field, t)
             if t:
-                assert (out.lo, out.hi) == window_for(t, field, (initial.lo, initial.hi))
+                assert (out.lo, out.hi) == window_for(t, (initial.lo, initial.hi))
             else:
                 assert out is initial
             want = _crop(states[t], out.lo, len(out.amps))
@@ -354,7 +344,7 @@ def test_cone_kernel_matches_full_window_reference(kind, k):
             assert np.all(out.amps[outside] == 0.0)
         for h in horizons[1:]:
             avg = time_averaged(initial, field, h)
-            lo, hi = window_for(h - 1, field, (initial.lo, initial.hi))
+            lo, hi = window_for(h - 1, (initial.lo, initial.hi))
             assert (avg.lo, avg.hi) == (lo, hi)
             want = _crop(averages[h], avg.lo, len(avg.masses))
             assert np.all(np.abs(avg.masses - want) <= MASS_TOL), (h, np.abs(avg.masses - want).max())
@@ -417,7 +407,7 @@ def _per_step_cone(initial, field, t):
     Yields ``(lo, cone, left, right)`` as ``qwtrap.walk._propagate`` does, with
     ``cone`` exactly the light cone.
     """
-    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    lo, hi = window_for(t, (initial.lo, initial.hi))
     n = hi - lo + 1
     a, b, c, d = _coin_coefficients(field, lo, hi)
     left = np.zeros(n, dtype=np.complex128)
@@ -539,7 +529,7 @@ def test_flush_leaves_no_part_below_the_floor(modulus):
     """
     field, initial = _outer_modulus_case(modulus)
     t = FLUSH_HORIZONS[-1]
-    lo, hi = window_for(t, field, (initial.lo, initial.hi))
+    lo, hi = window_for(t, (initial.lo, initial.hi))
     scale = _TOP - math.frexp(float(np.abs(initial.amps).max()))[1]
     for floor, shift in ((_TINY, 0), (_ROOT_TINY, scale)):
         flushes = 0
