@@ -43,10 +43,10 @@ import numpy as np
 from .algebra import Coin, TWO_PI
 from .walk import CoinField, Distribution, defect_field
 from .spectral import (
-    DEDUPE_TOL,
     RESIDUAL_ACCEPT,
     GeometricVector,
     NoEigenvalueError,
+    canonical_phase,
     contracting_zeta,
     eigen_residual,
     expanding_zeta,
@@ -192,17 +192,11 @@ def _holds_strictly(margin: float) -> bool:
 _BRANCHES = ((1.0, "plus"), (-1.0, "minus"))
 
 
-def _phase(unit: complex, sign: float) -> float:
-    lam = cmath.phase(sign * unit) % TWO_PI
-    # same seam convention as the grid solver: phases at 2*pi read as 0
-    return 0.0 if lam > TWO_PI - DEDUPE_TOL else lam
-
-
 def _pm_phases(branches: Iterable[tuple[str, complex]]) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """Eigenphases ``+unit`` and ``-unit`` of each ``(label, unit)`` branch, with their labels."""
     phases, labels = [], []
     for label, unit in branches:
-        phases += [_phase(unit, 1.0), _phase(unit, -1.0)]
+        phases += [canonical_phase(cmath.phase(unit)), canonical_phase(cmath.phase(-unit))]
         labels += [label, label]
     return tuple(phases), tuple(labels)
 

@@ -69,7 +69,9 @@ def transfer_matrix(coin: Coin, lam) -> np.ndarray:
     ``lam.shape + (2, 2)``.  The solver forms no transfer matrix: the core
     is stepped through with :func:`_site_step`, and the left start of
     :func:`_residual_core` is the kernel of ``T_left - zeta_out`` in closed
-    form.
+    form.  This matrix is the reference those are checked against; on
+    hyperbolic phases its eigenvalues are :func:`contracting_zeta` and
+    :func:`expanding_zeta`.
     """
     e = np.exp(1j * (lam - coin.delta))
     a = coin.alpha
@@ -85,32 +87,6 @@ def discriminant(coin: Coin, lam) -> float | np.ndarray:
     """``cos^2(lam - delta) - |alpha|^2``; positive means hyperbolic."""
     c = np.cos(lam - coin.delta)
     return c * c - abs(coin.alpha) ** 2
-
-
-@dataclass(frozen=True)
-class TransferEigen:
-    """Both eigenvalues of a transfer matrix and their common discriminant."""
-
-    zeta_plus: complex
-    zeta_minus: complex
-    discriminant: float
-
-
-def transfer_eigen(coin: Coin, lam: float) -> TransferEigen:
-    """Closed-form transfer-matrix eigenvalues ``(cos(th) +- sqrt(disc)) / alpha``.
-
-    ``zeta_plus`` takes the principal branch of the square root: real and
-    nonnegative for positive discriminant, ``+i sqrt(-disc)`` otherwise (the
-    two eigenvalues then share modulus 1).
-    """
-    c = math.cos(lam - coin.delta)
-    disc = c * c - abs(coin.alpha) ** 2
-    root = math.sqrt(disc) if disc >= 0 else 1j * math.sqrt(-disc)
-    return TransferEigen(
-        complex((c + root) / coin.alpha),
-        complex((c - root) / coin.alpha),
-        float(disc),
-    )
 
 
 def contracting_zeta(coin: Coin, lams):
@@ -311,20 +287,43 @@ def _intersect_arcs(
     return sorted(out)
 
 
+def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
+    """Arcs ``(start, end)`` of the admissible phase set, in closed form.
+
+    The arcs are sorted and disjoint, and together with their images mod
+    ``2*pi`` they are exactly the phases where :func:`in_admissible_set`
+    holds (up to rounding at the ends).  An arc across the 0/2*pi seam
+    comes back as one arc with a negative start.
+    """
+    arcs = _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left))
+    if len(arcs) > 1 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI:  # merge across the seam
+        start, _ = arcs.pop()
+        arcs[0] = (start - TWO_PI, arcs[0][1])
+    return tuple(arcs)
+
+
+def canonical_phase(lam: float) -> float:
+    """``lam`` reduced to ``[0, 2*pi)``, reading a phase within ``DEDUPE_TOL`` below ``2*pi`` as 0."""
+    lam %= TWO_PI
+    return 0.0 if lam > TWO_PI - DEDUPE_TOL else lam
+
+
 def find_eigenphases(field: CoinField) -> list[float]:
     """All eigenphases in ``[0, 2*pi)``, sorted ascending.
 
-    Samples the residual once over each closed-form admissible arc, at
+    Samples the residual once over each arc of :func:`admissible_arcs`, at
     spacing ``2*pi / DEFAULT_GRID`` with 17 to 4001 samples per arc, so arcs
-    narrower than the spacing are still seen.  Every local minimum is
-    bracketed by its neighbours (the arc ends at the edges).  All brackets
-    are refined together by :func:`_section_search` to width
-    ``DEFAULT_REFINE_TOL`` and :func:`_polish` inside the sampled bracket,
-    and the phases whose residual certifies an eigenphase are kept.
+    narrower than the spacing are still seen; an arc across the 0/2*pi seam
+    is one arc with a negative start.  Every local minimum is bracketed by
+    its neighbours (the arc ends at the edges).  All brackets are refined
+    together by :func:`_section_search` to width ``DEFAULT_REFINE_TOL`` and
+    :func:`_polish` inside the sampled bracket.  The phases whose residual
+    certifies an eigenphase are kept, mapped by :func:`canonical_phase`,
+    and phases within ``DEDUPE_TOL`` of each other keep the smaller residual.
     """
     h = TWO_PI / DEFAULT_GRID
     lo, hi = [np.empty(0)], [np.empty(0)]
-    for s, e in _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left)):
+    for s, e in admissible_arcs(field):
         n = max(17, min(4001, 2 * int((e - s) / h) + 1))
         pts = s + (e - s) * (np.arange(n) + 0.5) / n
         res = np.pad(_residual_or_inf(field, pts), 1, constant_values=np.inf)
@@ -335,25 +334,19 @@ def find_eigenphases(field: CoinField) -> list[float]:
         hi.append(ends[k + 2])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     refined, res = _polish(field, _section_search(field, lo, hi, DEFAULT_REFINE_TOL), lo, hi)
-    found: list[tuple[float, float]] = []
-    for x, r in zip(refined.tolist(), res.tolist()):
-        if r < RESIDUAL_ACCEPT:
-            lam = x % TWO_PI
-            if lam > TWO_PI - DEDUPE_TOL:  # canonicalize roots at the seam
-                lam -= TWO_PI
-            found.append((lam, r))
-    found.sort()
+    found = sorted(
+        (canonical_phase(x), r) for x, r in zip(refined.tolist(), res.tolist()) if r < RESIDUAL_ACCEPT
+    )
     phases: list[float] = []
     best = math.inf
     for k, (lam, r) in enumerate(found):
         if phases and lam - found[k - 1][0] <= DEDUPE_TOL:
             if r < best:
-                phases[-1] = max(lam, 0.0)
-                best = r
+                phases[-1], best = lam, r
         else:
-            phases.append(max(lam, 0.0))
+            phases.append(lam)
             best = r
-    return sorted(phases)
+    return phases
 
 
 def _powers(z: complex, xs: range) -> np.ndarray:
@@ -518,19 +511,15 @@ def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
 
 
 def limit_distribution(
-    eigs: Sequence[EigenPair],
-    initial: WalkState,
-    window: tuple[int, int] | None = None,
+    eigs: Sequence[EigenPair], initial: WalkState, window: tuple[int, int]
 ) -> Distribution:
-    """Time-averaged limit distribution of the trapped component on a window.
+    """Time-averaged limit distribution of the trapped component on ``window``.
 
-    ``masses(x) = sum_lam |<vec_lam, initial>|^2 ||vec_lam(x)||^2`` where the
-    sum runs over the (simple) eigenphases.
+    ``masses(x) = sum_lam |<vec_lam, initial>|^2 ||vec_lam(x)||^2`` for
+    ``x = lo .. hi`` with ``(lo, hi) = window``, where the sum runs over the
+    (simple) eigenphases.
     """
-    if window is None:
-        lo, hi = min(initial.lo, -20), max(initial.hi, 20)
-    else:
-        lo, hi = int(window[0]), int(window[1])
+    lo, hi = int(window[0]), int(window[1])
     masses = np.zeros(hi - lo + 1)
     for pair in eigs:
         vec = pair.vector()
@@ -560,19 +549,6 @@ def is_strongly_trapped(eigs: Sequence[EigenPair]) -> bool:
             if minor > INDEPENDENCE_TOL * scale:
                 return True
     return False
-
-
-def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
-    """Arcs ``(start, end)`` of the admissible phase set, in closed form.
-
-    An arc across the 0/2*pi seam comes back as one arc with a negative
-    start.
-    """
-    arcs = _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left))
-    if len(arcs) > 1 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI:  # merge across the seam
-        start, _ = arcs.pop()
-        arcs[0] = (start - TWO_PI, arcs[0][1])
-    return tuple(arcs)
 
 
 @dataclass(frozen=True)
