@@ -2,11 +2,11 @@
 
 Each subcommand accepts only the flags it reads (``_COMMANDS`` lists them);
 any other flag is a usage error.  ``simulate``, ``eigen``, ``limit``,
-``trap`` and ``model`` read the coin field from ``--config``; without one
-they use the fig1 reference field (``model`` the representative figure of
-its family).  ``model`` describes single-defect fields only and rejects a
-config that sets a ``middle_<k>`` coin off the origin.  ``figure`` always
-uses its preset and ``verify`` the whole reference catalogue.
+``trap`` and ``model`` read one coin field, from ``--config`` or else the
+fig1 reference field (for ``model`` the representative figure of its
+family).  ``model`` reports on the field's minus, origin and plus coins and
+rejects a field with core sites off the origin.  ``figure`` always uses
+its preset and ``verify`` the whole reference catalogue.
 
 Configuration files are flat INI-style text with one section per coin
 role::
@@ -22,10 +22,10 @@ role::
 Roles ``minus`` and ``plus`` set the two asymptotic coins, ``origin`` (or
 ``middle_0``) the site-0 coin, and optional ``middle_<k>`` sections
 override further core sites (unspecified core sites fall back to the
-nearest asymptote, site 0 to the plus side).  Each coin may be set by one section only.  Complex
-entries are ``re,im`` pairs; ``delta`` is a plain float.  ``--psi``
-overrides the initial state, which is ``(1, 0)`` with a config and the
-preset's state without one.
+nearest asymptote, site 0 to the plus side).  Each coin may be set by one
+section only.  Complex entries are ``re,im`` pairs; ``delta`` is a plain
+float.  ``--psi`` overrides the initial state, which is ``(1, 0)`` with a
+config and the preset's state without one.
 
 Exit codes: 0 on success, 1 on invalid input or configuration, 2 on an
 internal numerical degeneracy, 3 when ``verify`` ran and any check failed
@@ -55,7 +55,6 @@ from .spectral import (
     limit_distribution,
 )
 from .models import (
-    FAMILY_ROLES,
     MODEL_FUNCTIONS,
     UNIT_PSI_TOL,
     ConstraintError,
@@ -119,10 +118,11 @@ def _coin_from_section(section, name: str) -> Coin:
         raise ValueError(f"section [{name}]: {exc}") from exc
 
 
-def _read_roles(path: str) -> dict:
-    """Coins by role from a config file: 'minus', 'plus', 'origin', nonzero ints.
+def _read_field(path: str) -> CoinField:
+    """The coin field a config file describes.
 
-    ``[origin]`` and ``[middle_0]`` both set the site-0 coin, stored as 'origin'.
+    ``[origin]`` and ``[middle_0]`` both set the site-0 coin, which is the
+    plus coin when neither is given.
     """
     cp = configparser.ConfigParser()
     try:
@@ -130,15 +130,17 @@ def _read_roles(path: str) -> dict:
             cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ValueError(f"config {path}: {exc}") from exc
-    roles: dict = {}
+    coins: dict = {}
     sections: dict = {}
     for section in cp.sections():
         low = section.lower()
-        if low in ("minus", "plus", "origin"):
+        if low in ("minus", "plus"):
             role = low
+        elif low == "origin":
+            role = 0
         elif low.startswith("middle_"):
             try:
-                role = int(low[len("middle_"):]) or "origin"
+                role = int(low[len("middle_"):])
             except ValueError:
                 raise ValueError(f"section [{section}]: middle sections are 'middle_<int>'") from None
         else:
@@ -146,17 +148,12 @@ def _read_roles(path: str) -> dict:
         if role in sections:
             raise ValueError(f"sections [{sections[role]}] and [{section}] set the same coin")
         sections[role] = section
-        roles[role] = _coin_from_section(cp[section], section)
-    return roles
-
-
-def _field_from_roles(roles: dict) -> CoinField:
+        coins[role] = _coin_from_section(cp[section], section)
     for side in ("minus", "plus"):
-        if side not in roles:
+        if side not in coins:
             raise ValueError(f"config must define the [{side}] coin")
-    minus, plus = roles["minus"], roles["plus"]
-    sites = {k: v for k, v in roles.items() if isinstance(k, int)}
-    sites[0] = roles.get("origin", plus)  # unset, site 0 takes the plus side
+    minus, plus = coins.pop("minus"), coins.pop("plus")
+    sites = {0: plus, **coins}  # unset, site 0 takes the plus side
     x_minus = min(-1, min(sites) - 1)
     x_plus = max(1, max(sites) + 1)
     middle = tuple(
@@ -167,22 +164,18 @@ def _field_from_roles(roles: dict) -> CoinField:
 
 def _source(
     args: argparse.Namespace, src: FigurePreset = PRESETS[0]
-) -> tuple[dict, CoinField, tuple[complex, complex]]:
-    """Coins by role, field and initial state from ``--config`` or preset ``src``.
+) -> tuple[CoinField, tuple[complex, complex]]:
+    """Field and initial state from ``--config`` or preset ``src``.
 
     ``--psi`` overrides the state; commands without ``--config`` or
     ``--psi`` take the preset's.
     """
     config, psi = getattr(args, "config", None), getattr(args, "psi", None)
     if config is not None:
-        roles = _read_roles(config)
-        field = _field_from_roles(roles)
-        default_psi = (complex(1.0), complex(0.0))
+        field, default_psi = _read_field(config), (complex(1.0), complex(0.0))
     else:
-        roles = {"minus": src.minus, "origin": src.origin, "plus": src.plus}
-        field = src.field()
-        default_psi = src.psi
-    return roles, field, _parse_psi(psi) if psi is not None else default_psi
+        field, default_psi = src.field(), src.psi
+    return field, _parse_psi(psi) if psi is not None else default_psi
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -191,14 +184,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _sibling(path: str | None, suffix: str) -> str | None:
-    """Derive a secondary output path, ``suffix`` before the extension, or None for stdout."""
-    if path is None:
-        return None
-    stem, ext = os.path.splitext(path)
-    return f"{stem}{suffix}{ext}"
 
 
 def _csv_table(header: str, rows) -> str:
@@ -214,14 +199,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_distribution(dist: Distribution, path: str | None, fmt: str = "csv") -> None:
-    """Write masses by site: CSV with header ``x,mass`` or a JSON array."""
-    sites = dist.sites()
-    if fmt == "json":
-        payload = [{"x": int(x), "mass": float(m)} for x, m in zip(sites, dist.masses)]
-        _write_text(path, json.dumps(payload, indent=1) + "\n")
+def _records(header: str, rows) -> list[dict]:
+    """One object per row, keyed by the CSV ``header``'s column names."""
+    keys = header.split(",")
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def _emit(args: argparse.Namespace, header: str, rows, doc=None) -> None:
+    """Write ``rows`` as CSV under ``header``, or ``doc`` as indented JSON.
+
+    ``doc`` defaults to the rows as objects keyed by the header.
+    """
+    if args.format == "json":
+        text = json.dumps(_records(header, rows) if doc is None else doc, indent=1) + "\n"
     else:
-        _write_text(path, _csv_table("x,mass", zip(sites.tolist(), dist.masses.tolist())))
+        text = _csv_table(header, rows)
+    _write_text(args.out, text)
 
 
 def _svg_bars(xs, masses, title: str) -> str:
@@ -260,12 +253,14 @@ def _svg_bars(xs, masses, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _maybe_svg(args: argparse.Namespace, xs, masses, title: str) -> None:
+def _maybe_svg(args: argparse.Namespace, rows, col: int, title: str) -> None:
+    """Chart column ``col`` of the emitted ``rows`` against their first column."""
     if not args.svg:
         return
     if args.out is None:
         raise ValueError("--svg needs --out to derive the chart path")
-    _write_text(os.path.splitext(args.out)[0] + ".svg", _svg_bars(list(xs), list(masses), title))
+    chart = _svg_bars([r[0] for r in rows], [r[col] for r in rows], title)
+    _write_text(os.path.splitext(args.out)[0] + ".svg", chart)
 
 
 def _trimmed(dist: Distribution) -> Distribution:
@@ -276,21 +271,24 @@ def _trimmed(dist: Distribution) -> Distribution:
     return Distribution(int(dist.lo + nz[0]), dist.masses[nz[0] : nz[-1] + 1])
 
 
+def _rows(dist: Distribution) -> list[tuple[int, float]]:
+    return list(zip(dist.sites().tolist(), dist.masses.tolist()))
+
+
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _, field, psi = _source(args)
-    state = evolve(WalkState.point(*psi), field, args.steps)
-    dist = _trimmed(probability(state))
-    emit_distribution(dist, args.out, args.format)
-    _maybe_svg(args, dist.sites().tolist(), dist.masses.tolist(), f"position distribution, t = {args.steps}")
+    field, psi = _source(args)
+    rows = _rows(_trimmed(probability(evolve(WalkState.point(*psi), field, args.steps))))
+    _emit(args, "x,mass", rows)
+    _maybe_svg(args, rows, 1, f"position distribution, t = {args.steps}")
     return 0
 
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
-    phases = find_eigenphases(_source(args)[1])
+    phases = find_eigenphases(_source(args)[0])
     if args.format == "json":
         _write_text(args.out, json.dumps([float(p) for p in phases]) + "\n")
     else:
@@ -299,31 +297,24 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    _, field, psi = _source(args)
+    field, psi = _source(args)
     initial = WalkState.point(*psi)
     rep = analyze(field)
     w = args.window
     exact = limit_distribution(rep.eigenpairs, initial, window=(-w, w))
     if args.horizon is None:
-        emit_distribution(exact, args.out, args.format)
-        _maybe_svg(args, exact.sites().tolist(), exact.masses.tolist(), "time-averaged limit distribution")
-        return 0
-    empirical = time_averaged(initial, field, args.horizon)
-    rows = [
-        (int(x), float(exact.mass_at(x)), float(empirical.mass_at(x)))
-        for x in range(-w, w + 1)
-    ]
-    if args.format == "json":
-        payload = [{"x": x, "mass": m, "empirical": e} for x, m, e in rows]
-        _write_text(args.out, json.dumps(payload, indent=1) + "\n")
+        header, rows = "x,mass", _rows(exact)
     else:
-        _write_text(args.out, _csv_table("x,mass,empirical", rows))
-    _maybe_svg(args, [r[0] for r in rows], [r[1] for r in rows], "time-averaged limit distribution")
+        empirical = time_averaged(initial, field, args.horizon)
+        header = "x,mass,empirical"
+        rows = [(int(x), float(exact.mass_at(x)), float(empirical.mass_at(x))) for x in range(-w, w + 1)]
+    _emit(args, header, rows)
+    _maybe_svg(args, rows, 1, "time-averaged limit distribution")
     return 0
 
 
 def _cmd_trap(args: argparse.Namespace) -> int:
-    rep = analyze(_source(args)[1])
+    rep = analyze(_source(args)[0])
     pairs = rep.eigenpairs
     verdict = rep.strongly_trapped
     origin_vals = np.array([p.vector().value(0) for p in pairs]).reshape(-1, 2)
@@ -338,36 +329,14 @@ def _cmd_trap(args: argparse.Namespace) -> int:
         "origin_rank": rank,
         "origin_singular_values": [float(s) for s in svals],
     }
-    if args.format == "json":
-        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
-    else:
-        rows = [("strongly_trapped", str(verdict).lower()), ("origin_rank", rank)]
-        rows += [(f"lambda_{k}", p) for k, p in enumerate(doc["eigenphases"])]
-        rows += [(f"sigma_{k}", s) for k, s in enumerate(doc["origin_singular_values"])]
-        _write_text(args.out, _csv_table("key,value", rows))
+    rows = [("strongly_trapped", str(verdict).lower()), ("origin_rank", rank)]
+    rows += [(f"lambda_{k}", p) for k, p in enumerate(doc["eigenphases"])]
+    rows += [(f"sigma_{k}", s) for k, s in enumerate(doc["origin_singular_values"])]
+    _emit(args, "key,value", rows, doc)
     return 0
 
 
-def _model_coins(roles: dict, model_id: int) -> tuple[Coin, Coin | None, Coin]:
-    """The ``(minus, origin, plus)`` coins for family ``model_id``, checked."""
-    extra = sorted(k for k in roles if isinstance(k, int))
-    if extra:
-        names = ", ".join(f"[middle_{k}]" for k in extra)
-        raise ValueError(
-            f"family reports describe single-defect fields; the config also sets {names}"
-        )
-    for role in FAMILY_ROLES[model_id]:
-        if role not in roles:
-            raise ValueError(f"family {model_id} needs the [{role}] coin")
-    minus, plus = roles["minus"], roles["plus"]
-    if model_id in (1, 2) and minus != plus:
-        raise ValueError("families 1 and 2 need identical [minus] and [plus] coins")
-    if model_id in (3, 4) and roles.get("origin", plus) != plus:
-        raise ValueError("families 3 and 4 need the [origin] coin unset or identical to [plus]")
-    return minus, roles.get("origin"), plus
-
-
-def _report_doc(rep: ModelReport, prof: Distribution) -> dict:
+def _report_doc(rep: ModelReport, rows) -> dict:
     return {
         "model": rep.model_id,
         "exists": rep.exists,
@@ -381,9 +350,7 @@ def _report_doc(rep: ModelReport, prof: Distribution) -> dict:
         "normalizers": [_complex_pair(complex(n)) for n in rep.normalizers],
         "norm_corrections": [float(c) for c in rep.norm_corrections],
         "psi": [_complex_pair(p) for p in rep.psi],
-        "limit_distribution": [
-            {"x": int(x), "mass": float(m)} for x, m in zip(prof.sites(), prof.masses)
-        ],
+        "limit_distribution": _records("x,mass", rows),
     }
 
 
@@ -393,14 +360,14 @@ def _cmd_model(args: argparse.Namespace) -> int:
         raise ValueError("model needs --id 1..5")
     if k not in MODEL_FUNCTIONS:
         raise ValueError(f"model id must be 1..5, got {k}")
-    roles, _, psi = _source(args, figure_preset(_MODEL_DEFAULT_FIG[k]))
-    rep = family_report(k, *_model_coins(roles, k), psi)
-    prof = rep.limit_window(-args.window, args.window)
-    if args.format == "json":
-        _write_text(args.out, json.dumps(_report_doc(rep, prof), indent=1) + "\n")
-    else:
-        emit_distribution(prof, args.out, "csv")
-    _maybe_svg(args, prof.sites().tolist(), prof.masses.tolist(), f"family {rep.model_id} limit distribution")
+    field, psi = _source(args, figure_preset(_MODEL_DEFAULT_FIG[k]))
+    if (field.x_minus, field.x_plus) != (-1, 1):
+        names = ", ".join(f"[middle_{x}]" for x in (field.x_minus + 1, field.x_plus - 1) if x)
+        raise ValueError(f"family reports describe single-defect fields; the config also sets {names}")
+    rep = family_report(k, field.left, field.coin(0), field.right, psi)
+    rows = _rows(rep.limit_window(-args.window, args.window))
+    _emit(args, "x,mass", rows, _report_doc(rep, rows) if args.format == "json" else None)
+    _maybe_svg(args, rows, 1, f"family {rep.model_id} limit distribution")
     return 0
 
 
@@ -419,36 +386,30 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.id is None:
         raise ValueError("figure needs --id 1..7")
     src = figure_preset(args.id)
-    _, field, psi = _source(args, src)
+    field, psi = _source(args, src)
     rep = src.report(psi)
     w, steps = args.window, args.steps
     state = evolve(WalkState.point(*psi), field, steps)
     prob = probability(state)
     prof = rep.limit_window(-w, w)
+    header, arcs_header = f"x,mass_t{steps},nu_inf", "param,branch,lambda"
     rows = [
         (int(x), float(prob.mass_at(x)), float(prof.mass_at(x))) for x in range(-w, w + 1)
     ]
     arcs = src.sweep()
-    if args.format == "json":
-        doc = {
-            "figure": src.fig_id,
-            "model": src.model_id,
-            "title": src.title,
-            "sweep_param": src.sweep_param,
-            "distribution": [
-                {"x": x, f"mass_t{steps}": p, "nu_inf": m} for x, p, m in rows
-            ],
-            "arcs": [
-                {"param": float(v), "branch": b, "lambda": float(lam)} for v, b, lam in arcs
-            ],
-        }
-        _write_text(args.out, json.dumps(doc, indent=1) + "\n")
-    else:
-        main = _csv_table(f"x,mass_t{steps},nu_inf", rows)
-        _write_text(args.out, main)
-        arcs_csv = _csv_table("param,branch,lambda", arcs)
-        _write_text(_sibling(args.out, "_arcs"), arcs_csv)
-    _maybe_svg(args, [r[0] for r in rows], [r[2] for r in rows], f"figure {src.fig_id}: {src.title}")
+    doc = {
+        "figure": src.fig_id,
+        "model": src.model_id,
+        "title": src.title,
+        "sweep_param": src.sweep_param,
+        "distribution": _records(header, rows),
+        "arcs": _records(arcs_header, arcs),
+    }
+    _emit(args, header, rows, doc)
+    if args.format == "csv":  # the arcs follow on stdout, or go to a ``_arcs`` sibling of --out
+        arcs_out = args.out and "{}_arcs{}".format(*os.path.splitext(args.out))
+        _write_text(arcs_out, _csv_table(arcs_header, arcs))
+    _maybe_svg(args, rows, 2, f"figure {src.fig_id}: {src.title}")
     return 0
 
 

@@ -1,11 +1,10 @@
 """Reference parameter sets fig1..fig7 shared by tests and the CLI.
 
 Each preset bundles one concrete coin field from the five closed-form
-families, the initial state used alongside it, and the expected outcomes
-(strong trapping, whether the chosen state receives zero limiting mass).
-The presets are the single source of these values; everything downstream
-(verification checks, acceptance tests, the ``figure`` command) reads
-them from here.
+families, the initial state used alongside it, and the expected
+strong-trapping verdict.  The presets are the single source of these
+values; everything downstream (verification checks, acceptance tests,
+the ``figure`` command) reads them from here.
 
 ``FigurePreset.sweep`` traces the eigenvalue arcs: it varies the one
 angle that governs existence for the preset's family, with all moduli
@@ -42,7 +41,6 @@ class FigurePreset:
     plus: Coin
     psi: tuple[complex, complex]
     strongly_trapped: bool
-    zero_mass: bool
     sweep_param: str
 
     def field(self) -> CoinField:
@@ -98,7 +96,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, _R, 0.0),
         psi=(_R, _R),
         strongly_trapped=True,
-        zero_mass=False,
         sweep_param="arg_beta_o",
     ),
     FigurePreset(
@@ -110,7 +107,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, _R, math.pi / 2),
         psi=(_R, -1j * _R),
         strongly_trapped=False,
-        zero_mass=True,
         sweep_param="delta",
     ),
     FigurePreset(
@@ -122,7 +118,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, _R, math.pi),
         psi=(_R, -1j * _R),
         strongly_trapped=True,
-        zero_mass=False,
         sweep_param="delta",
     ),
     FigurePreset(
@@ -134,7 +129,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, _R, math.pi),
         psi=(_COS8, -_SIN8),
         strongly_trapped=False,
-        zero_mass=True,
         sweep_param="delta_p",
     ),
     FigurePreset(
@@ -146,7 +140,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, -_R, 0.0),
         psi=(_COS8, _SIN8),
         strongly_trapped=False,
-        zero_mass=True,
         sweep_param="arg_beta_p",
     ),
     FigurePreset(
@@ -158,7 +151,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, 1j * _R, 0.0),
         psi=(_R, _R * cmath.exp(1j * math.pi / 4)),
         strongly_trapped=False,
-        zero_mass=True,
         sweep_param="delta",
     ),
     FigurePreset(
@@ -170,7 +162,6 @@ PRESETS: tuple[FigurePreset, ...] = (
         plus=make_coin(_R, 1j * _R, math.pi / 4),
         psi=(_R, _R),
         strongly_trapped=True,
-        zero_mass=False,
         sweep_param="delta",
     ),
 )

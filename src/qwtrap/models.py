@@ -462,26 +462,32 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
 
 MODEL_FUNCTIONS = {1: model1, 2: model2, 3: model3, 4: model4, 5: model5}
 
-#: the coins of a defect field ``minus | origin | plus`` that each family
-#: takes, in argument order
-FAMILY_ROLES: Mapping[int, tuple[str, ...]] = {
-    1: ("minus", "origin"),
-    2: ("minus", "origin"),
-    3: ("minus", "plus"),
-    4: ("minus", "plus"),
+#: the coins that family k puts on the minus side, the origin and the plus
+#: side of its defect field; it takes ``dict.fromkeys(FAMILY_FIELD[k])``
+FAMILY_FIELD: Mapping[int, tuple[str, str, str]] = {
+    1: ("minus", "origin", "minus"),
+    2: ("minus", "origin", "minus"),
+    3: ("minus", "plus", "plus"),
+    4: ("minus", "plus", "plus"),
     5: ("minus", "origin", "plus"),
 }
 
 
-def family_report(model_id: int, minus: Coin, origin: Coin | None, plus: Coin, psi) -> ModelReport:
+def family_report(model_id: int, minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
     """Report of family ``model_id`` on the defect field ``minus | origin | plus``.
 
-    Coins the family does not take (see ``FAMILY_ROLES``) are ignored.  The
-    family function is looked up in ``MODEL_FUNCTIONS`` at call time, so a
-    wrapper placed there sees every family report.
+    A field the family does not describe (``FAMILY_FIELD``: families 1 and
+    2 need ``plus == minus``, families 3 and 4 ``origin == plus``) raises
+    :class:`ConstraintError` naming both coins, before the family function
+    checks its own constraints.  That function is looked up in
+    ``MODEL_FUNCTIONS`` at call time, so a wrapper placed there sees every
+    family report.
     """
     coins = {"minus": minus, "origin": origin, "plus": plus}
-    return MODEL_FUNCTIONS[model_id](*(coins[role] for role in FAMILY_ROLES[model_id]), psi)
+    layout = FAMILY_FIELD[model_id]
+    for site, role in zip(coins, layout):
+        _require(coins[site] == coins[role], f"family {model_id} needs the [{site}] coin equal to the [{role}] coin")
+    return MODEL_FUNCTIONS[model_id](*(coins[role] for role in dict.fromkeys(layout)), psi)
 
 
 @dataclass(frozen=True)

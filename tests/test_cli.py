@@ -49,22 +49,31 @@ def test_simulate_zero_steps(capsys):
     assert out == "x,mass\n0,1\n"
 
 
-def test_simulate_formats_agree(capsys):
-    code, out_csv, _ = invoke(capsys, "simulate", "--steps", "9")
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--steps", "9"), ("limit", "--window", "4"), ("limit", "--window", "3", "--horizon", "200")],
+    ids=["simulate", "limit", "limit-horizon"],
+)
+def test_simulate_formats_agree(capsys, argv):
+    # the JSON output is the CSV table as one object per row, keyed by the header
+    code, out_csv, _ = invoke(capsys, *argv)
     assert code == 0
-    rows = parse_csv(out_csv, "x,mass")
-    code, out_json, _ = invoke(capsys, "simulate", "--steps", "9", "--format", "json")
+    header, *lines = out_csv.splitlines()
+    keys = header.split(",")
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+    code, out_json, _ = invoke(capsys, *argv, "--format", "json")
     assert code == 0
     payload = json.loads(out_json)
-    assert len(payload) == len(rows)
-    for (x, m), entry in zip(rows, payload):
-        assert entry["x"] == int(x)
-        assert abs(entry["mass"] - m) <= 1e-14
-    total = sum(m for _, m in rows)
-    assert abs(total - 1.0) <= 1e-9
-    # light cone: the trimmed output spans at most [-t, t]
-    xs = [int(x) for x, _ in rows]
-    assert min(xs) >= -9 and max(xs) <= 9
+    assert [list(entry) for entry in payload] == [keys] * len(rows)
+    for row, entry in zip(rows, payload):
+        assert entry["x"] == int(row[0]) and isinstance(entry["x"], int)
+        for key, value in zip(keys[1:], row[1:]):
+            assert abs(entry[key] - value) <= 1e-14
+    if argv[0] == "simulate":
+        assert abs(sum(row[1] for row in rows) - 1.0) <= 1e-9
+        # light cone: the trimmed output spans at most [-t, t]
+        xs = [int(row[0]) for row in rows]
+        assert min(xs) >= -9 and max(xs) <= 9
 
 
 def test_simulate_respects_psi_and_rejects_non_unit(capsys):
@@ -354,6 +363,21 @@ def test_families_3_and_4_reject_an_origin_coin_unlike_plus(capsys, tmp_path):
     path.write_text(f"[minus]\n{HADAMARD}\n[plus]\n{plus}")
     code, without_origin, _ = invoke(capsys, "model", "--id", "4", "--config", str(path))
     assert code == 0 and with_origin == without_origin
+
+
+def test_model_without_origin_reads_the_plus_coin_at_the_origin(capsys, tmp_path):
+    # like every command, `model` reads an unset [origin] as the [plus] coin
+    path = tmp_path / "field.ini"
+    path.write_text(f"[minus]\n{HADAMARD}\n[plus]\n{HADAMARD}")
+    without = {k: invoke(capsys, "model", "--id", k, "--config", str(path)) for k in ("1", "2", "5")}
+    path.write_text(f"[minus]\n{HADAMARD}\n[origin]\n{HADAMARD}\n[plus]\n{HADAMARD}")
+    for k in ("1", "2"):
+        code, with_origin, _ = invoke(capsys, "model", "--id", k, "--config", str(path))
+        assert code == 0 and with_origin
+        assert without[k][:2] == (0, with_origin), k
+    code, out, err = without["5"]
+    assert code == 1 and out == ""
+    assert "beta_o = 0" in err
 
 
 def test_middle_0_sets_the_origin_coin_of_a_family(capsys, tmp_path, fig1_config):

@@ -299,6 +299,38 @@ def test_constraint_reflecting_coin():
         model1(blocked, make_coin(R, 1j * R, 0.0), (1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "fig_id, site, role", [(1, "plus", "minus"), (3, "plus", "minus"), (4, "origin", "plus"), (5, "origin", "plus")]
+)
+def test_family_report_rejects_a_coin_its_field_would_drop(fig_id, site, role):
+    # families 1-4 take two coins; a third coin unlike the one the family's
+    # field puts on that site is an error, not silently ignored
+    p = preset(fig_id)
+    coins = {"minus": p.minus, "origin": p.origin, "plus": p.plus, site: make_coin(0.6, 0.8j, 0.3)}
+    with pytest.raises(ConstraintError) as exc:
+        family_report(p.model_id, psi=p.psi, **coins)
+    assert f"[{site}]" in str(exc.value) and f"[{role}]" in str(exc.value)
+
+
+def test_family_report_checks_its_field_before_the_family_constraints():
+    minus, plus = make_coin(R, R, 0.0), make_coin(R, 1j * R, 0.5)  # beta arguments differ
+    with pytest.raises(ConstraintError, match="arg beta"):
+        family_report(3, minus, plus, plus, (1.0, 0.0))
+    with pytest.raises(ConstraintError) as exc:
+        family_report(3, minus, make_coin(0.6, 0.8, 0.0), plus, (1.0, 0.0))
+    assert "[origin]" in str(exc.value) and "[plus]" in str(exc.value)
+
+
+#: rows of each preset's 720-point sweep; the sweep skips every field that
+#: raises ConstraintError, so a field check that rejected a swept field
+#: would silently drop rows
+SWEEP_ROWS = {1: 2876, 2: 2156, 3: 2156, 4: 718, 5: 1438, 6: 2156, 7: 2156}
+
+
+def test_preset_sweeps_keep_every_row():
+    assert {fig_id: len(preset(fig_id).sweep()) for fig_id in FIG_IDS} == SWEEP_ROWS
+
+
 def test_model1_degenerate_branches():
     # an origin reflection antiparallel to beta drives K to 0: the
     # two +- branches coalesce and the shared denominator vanishes
