@@ -9,10 +9,17 @@ For every field the survey records the eigenphases that
 ``find_eigenphases`` returns and the strong-trapping verdict of
 ``analyze``, and writes them to ``--out`` as JSON.
 
+A root is *unpaired* when no root of its field lies within ``DEDUPE_TOL``
+of its partner ``lam + pi`` (mod ``2*pi``): the point spectrum is invariant
+under ``lam -> lam + pi``, so each one marks a partner the solver could not
+certify.  The summary line counts them.
+
 With ``--compare OLD.json`` it also reports, against an earlier survey,
-the fields whose phase count or verdict differs and the largest phase gap
-(circular) on the fields whose counts agree.  The exit status is 1 when a
-count or verdict differs or the gap exceeds ``PHASE_TOL`` (1e-12).
+the fields whose phase count or verdict differs, the largest phase gap
+(circular) on the fields whose counts agree, and every field with unpaired
+roots in either survey.  The exit status is 1 when a count or verdict
+differs or the gap exceeds ``PHASE_TOL`` (1e-12); unpaired roots alone do
+not change it.
 
     python scripts/solver_survey.py --out survey.json
     python scripts/solver_survey.py --out new.json --compare survey.json
@@ -27,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from qwtrap.figures import PRESETS
-from qwtrap.spectral import analyze
+from qwtrap.spectral import DEDUPE_TOL, analyze
 
 SEEDS = (7, 11, 13)
 DRAWS = 150
@@ -67,6 +74,11 @@ def survey(presets_only=False):
     return out
 
 
+def unpaired(phases):
+    """The phases with no phase within ``DEDUPE_TOL`` of ``lam + pi`` (mod ``2*pi``)."""
+    return [a for a in phases if not any(abs((b - a) % (2.0 * math.pi) - math.pi) <= DEDUPE_TOL for b in phases)]
+
+
 def compare(new, old):
     """Fields whose count or verdict differs, the largest phase gap elsewhere
     and the number of phases there that are bit-identical."""
@@ -99,7 +111,8 @@ def main() -> int:
         fh.write("\n")
     total = sum(len(r["phases"]) for r in rows)
     trapped = sum(r["strongly_trapped"] for r in rows)
-    print(f"{len(rows)} fields, {total} phases, {trapped} strongly trapped; wrote {args.out}")
+    n_unpaired = sum(len(unpaired(r["phases"])) for r in rows)
+    print(f"{len(rows)} fields, {total} phases, {n_unpaired} unpaired, {trapped} strongly trapped; wrote {args.out}")
     if args.compare is None:
         return 0
 
@@ -113,6 +126,11 @@ def main() -> int:
         print(f"  count differs: {name}")
     for name in verdicts:
         print(f"  verdict differs: {name}")
+    old_by_name = {r["field"]: r["phases"] for r in old}
+    for r in rows:
+        here, there = len(unpaired(r["phases"])), len(unpaired(old_by_name.get(r["field"], [])))
+        if here or there:
+            print(f"  unpaired roots: {r['field']}: {here} here, {there} in {args.compare}")
     return 1 if counts or verdicts or gap > PHASE_TOL else 0
 
 

@@ -18,8 +18,13 @@ costs a few element-wise operations per site and forms no ``2 x 2``
 matrix.  Roots are refined on all brackets at once by a section search,
 eightfold per batched call, and two Gauss-Newton steps on the complex
 mismatch, which is smooth in ``lam``: the left kernel vector has its first
-component real.  An eigenvector is the same recurrence at one phase,
-recorded at every core site, so its left tail is the kernel vector itself.
+component real.
+
+With ``P = diag((-1)**x)`` the shift gives ``P U P = -U``, so the point
+spectrum and the admissible set are ``pi``-periodic: the solver searches
+one period and polishes each root's partner ``lam + pi`` in the partner's
+own doubles.  All eigenvectors are one recurrence batched over the phases
+and recorded at every core site, so each left tail is the kernel vector.
 """
 
 from __future__ import annotations
@@ -249,57 +254,48 @@ def _polish(
     return best, best_res
 
 
-def _hyperbolic_arcs(coin: Coin) -> list[tuple[float, float]]:
-    """Phases with a hyperbolic transfer matrix, as arcs in ``[0, 2*pi)``.
+def _period_arcs(field: CoinField) -> list[tuple[float, float]]:
+    """The admissible set on one period of the phase, as sorted disjoint arcs.
 
-    ``cos^2(lam - delta) > |alpha|^2`` holds on two arcs of half-width
-    ``arccos(|alpha|)`` centered at ``delta`` and ``delta + pi``.  Arcs that
-    wrap past ``2*pi`` are split.
+    ``cos^2(lam - delta) > |alpha|^2`` holds on one arc of half-width
+    ``arccos(|alpha|)`` about ``delta``, taken mod ``pi``.  The right
+    coin's arc, centered at ``delta mod pi``, is cut by the left coin's arc
+    and its images ``pi`` apart, so the pieces lie within the right coin's
+    arc: ends may fall below 0 or past ``pi``.
     """
-    half = math.acos(min(abs(coin.alpha), 1.0))
-    if half == 0.0:
-        return []
-    raw = [
-        (coin.delta - half, coin.delta + half),
-        (coin.delta + math.pi - half, coin.delta + math.pi + half),
-    ]
-    arcs: list[tuple[float, float]] = []
-    for s, e in raw:
-        width = e - s
-        s %= TWO_PI
-        if s + width <= TWO_PI:
-            arcs.append((s, s + width))
-        else:
-            arcs.append((s, TWO_PI))
-            arcs.append((0.0, s + width - TWO_PI))
-    return sorted(arcs)
-
-
-def _intersect_arcs(
-    a: list[tuple[float, float]], b: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
+    arcs = []
+    for coin in (field.right, field.left):
+        half = math.acos(min(abs(coin.alpha), 1.0))
+        if half == 0.0:
+            return []
+        center = coin.delta % math.pi
+        arcs.append((center - half, center + half))
+    (s1, e1), (s2, e2) = arcs
     out = []
-    for s1, e1 in a:
-        for s2, e2 in b:
-            s, e = max(s1, s2), min(e1, e2)
-            if e > s:
-                out.append((s, e))
-    return sorted(out)
+    for shift in (-math.pi, 0.0, math.pi):
+        s, e = max(s1, s2 + shift), min(e1, e2 + shift)
+        if e > s:
+            out.append((s, e))
+    return out
 
 
 def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
     """Arcs ``(start, end)`` of the admissible phase set, in closed form.
 
-    The arcs are sorted and disjoint, and together with their images mod
-    ``2*pi`` they are exactly the phases where :func:`in_admissible_set`
-    holds (up to rounding at the ends).  An arc across the 0/2*pi seam
-    comes back as one arc with a negative start.
+    The admissible set is ``pi``-periodic, since ``cos^2(lam + pi - delta)
+    = cos^2(lam - delta)``: these are the arcs of one period and their
+    ``+pi`` copies, each moved by a multiple of ``2*pi`` so that it ends in
+    ``(0, 2*pi]``.  The arcs are sorted and disjoint, and together with
+    their images mod ``2*pi`` they are exactly the phases where
+    :func:`in_admissible_set` holds (up to rounding at the ends).  An arc
+    across the 0/2*pi seam comes back as one arc with a negative start.
     """
-    arcs = _intersect_arcs(_hyperbolic_arcs(field.right), _hyperbolic_arcs(field.left))
-    if len(arcs) > 1 and arcs[0][0] == 0.0 and arcs[-1][1] == TWO_PI:  # merge across the seam
-        start, _ = arcs.pop()
-        arcs[0] = (start - TWO_PI, arcs[0][1])
-    return tuple(arcs)
+    arcs = []
+    for s, e in _period_arcs(field):
+        for a, b in ((s, e), (s + math.pi, e + math.pi)):
+            turn = TWO_PI * (math.ceil(b / TWO_PI) - 1)
+            arcs.append((a - turn, b - turn))
+    return tuple(sorted(arcs))
 
 
 def canonical_phase(lam: float) -> float:
@@ -311,19 +307,26 @@ def canonical_phase(lam: float) -> float:
 def find_eigenphases(field: CoinField) -> list[float]:
     """All eigenphases in ``[0, 2*pi)``, sorted ascending.
 
-    Samples the residual once over each arc of :func:`admissible_arcs`, at
-    spacing ``2*pi / DEFAULT_GRID`` with 17 to 4001 samples per arc, so arcs
-    narrower than the spacing are still seen; an arc across the 0/2*pi seam
-    is one arc with a negative start.  Every local minimum is bracketed by
-    its neighbours (the arc ends at the edges).  All brackets are refined
+    With ``P = diag((-1)**x)`` the shift gives ``P U P = -U``, so the point
+    spectrum, like the admissible set, is invariant under ``lam -> lam +
+    pi``, and only one period is searched.  The residual is sampled once
+    over each arc of :func:`_period_arcs`, at spacing ``2*pi /
+    DEFAULT_GRID`` with 17 to 4001 samples per arc, so arcs narrower than
+    the spacing are still seen.  Every local minimum is bracketed by its
+    neighbours (the arc ends at the edges).  All brackets are refined
     together by :func:`_section_search` to width ``DEFAULT_REFINE_TOL`` and
-    :func:`_polish` inside the sampled bracket.  The phases whose residual
-    certifies an eigenphase are kept, mapped by :func:`canonical_phase`,
-    and phases within ``DEDUPE_TOL`` of each other keep the smaller residual.
+    :func:`_polish` inside the sampled bracket.  Each refined phase ``x``
+    whose residual is below ``10 * RESIDUAL_ACCEPT`` gets its partner: one
+    more :func:`_polish` batch starts from the rounded ``x + pi`` (``x -
+    pi`` past ``pi``) inside the bracket moved by as much.  The doubles
+    near the partner are not those near ``x``, so each member of a pair is
+    accepted on the residual at its own double.  The accepted phases are
+    mapped by :func:`canonical_phase`, and phases within ``DEDUPE_TOL`` of
+    each other keep the smaller residual.
     """
     h = TWO_PI / DEFAULT_GRID
     lo, hi = [np.empty(0)], [np.empty(0)]
-    for s, e in admissible_arcs(field):
+    for s, e in _period_arcs(field):
         n = max(17, min(4001, 2 * int((e - s) / h) + 1))
         pts = s + (e - s) * (np.arange(n) + 0.5) / n
         res = np.pad(_residual_or_inf(field, pts), 1, constant_values=np.inf)
@@ -334,6 +337,13 @@ def find_eigenphases(field: CoinField) -> list[float]:
         hi.append(ends[k + 2])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     refined, res = _polish(field, _section_search(field, lo, hi, DEFAULT_REFINE_TOL), lo, hi)
+    near = res < 10.0 * RESIDUAL_ACCEPT
+    if near.any():
+        # x - pi is exact past pi, so each partner keeps the precision of [0, 2*pi)
+        shift = np.where(refined[near] < math.pi, math.pi, -math.pi)
+        x, a, b = refined[near] + shift, lo[near] + shift, hi[near] + shift
+        partner, partner_res = _polish(field, x, a, b)
+        refined, res = np.concatenate((refined, partner)), np.concatenate((res, partner_res))
     found = sorted(
         (canonical_phase(x), r) for x, r in zip(refined.tolist(), res.tolist()) if r < RESIDUAL_ACCEPT
     )
@@ -460,54 +470,61 @@ class EigenPair:
         return self.raw.scaled(self.norm_factor)
 
 
-def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
-    """Reconstruct the (unique up to phase) unit eigenvector at an eigenphase.
+def build_eigenvectors(field: CoinField, phases: Sequence[float]) -> tuple[EigenPair, ...]:
+    """Reconstruct the (unique up to phase) unit eigenvectors at eigenphases.
 
     The reshaped solution ``tilde`` holds ``[psi_L(x-1), psi_R(x)]`` on the
     core sites ``x_minus .. x_plus``: :func:`_site_step` carries the left
-    start of :func:`_residual_core`, which already lies in the decaying
-    eigenspace of ``T_left``, forward through the core and records every
-    site.  Outside the core it continues geometrically with ratios
-    ``zeta_in`` (right) and ``zeta_out`` (left).
+    starts of :func:`_residual_core`, which already lie in the decaying
+    eigenspace of ``T_left``, forward through the core in one recurrence
+    over all phases and records every site.  Outside the core it continues
+    geometrically with ratios ``zeta_in`` (right) and ``zeta_out`` (left).
 
     The rows are scaled so that ``tilde`` at site 0, the matching generator
     ``phi``, is a unit vector with its first component real and positive.
     Every transfer matrix preserves the flux ``|v0|**2 - |v1|**2``, which a
     square-summable solution has at zero, so both components of ``phi``
     have modulus ``1/sqrt(2)``: neither is ever zero, and neither is larger
-    except by rounding.
+    except by rounding.  A phase outside the admissible set, or whose
+    residual does not certify an eigenphase, raises :class:`NoEigenvalueError`.
     """
-    lam = float(lam) % TWO_PI
-    if not in_admissible_set(field, lam):
-        raise NoEigenvalueError(f"phase {lam!r} is not admissible")
-    res, _, (z, v0, v1) = _residual_core(field, np.array([lam]))
-    if res[0] >= RESIDUAL_ACCEPT:
-        raise NoEigenvalueError(f"residual {res[0]:.3e} at phase {lam!r} is too large")
+    lams = np.asarray(phases, dtype=np.float64) % TWO_PI
+    if not lams.size:
+        return ()
+    bad = lams[~in_admissible_set(field, lams)]
+    if bad.size:
+        raise NoEigenvalueError(f"phase {float(bad[0])!r} is not admissible")
+    res, _, (z, v0, v1) = _residual_core(field, lams)
+    bad = np.flatnonzero(res >= RESIDUAL_ACCEPT)
+    if bad.size:
+        k = bad[0]
+        raise NoEigenvalueError(f"residual {res[k]:.3e} at phase {float(lams[k])!r} is too large")
     x_m, x_p = field.x_minus, field.x_plus
     rows = [(v0, v1)]
     for x in range(x_m, x_p):
         v0, v1 = _site_step(field.coin(x), z, v0, v1)
         rows.append((v0, v1))
-    tilde = np.array(rows)[..., 0]
-    s0, s1 = tilde[-x_m]
-    tilde *= s0.conjugate() / (abs(s0) * math.hypot(abs(s0), abs(s1)))
-    zeta_in = complex(contracting_zeta(field.right, lam))
-    zeta_out = complex(expanding_zeta(field.left, lam))
-    raw = GeometricVector(
-        plus_cut=x_p,
-        minus_cut=x_m,
-        zeta_in=zeta_in,
-        zeta_out=zeta_out,
-        plus_coef=np.array([zeta_in * tilde[-1, 0], tilde[-1, 1]]) * zeta_in ** (-x_p),
-        minus_coef=np.array([zeta_out * tilde[0, 0], tilde[0, 1]]) * zeta_out ** (-x_m),
-        middle=np.stack((tilde[2:, 0], tilde[1:-1, 1]), axis=-1),
-    )
-    return EigenPair(
-        lam=lam,
-        phi=tilde[-x_m],
-        raw=raw,
-        norm_factor=1.0 / math.sqrt(raw.norm_sq_total()),
-    )
+    pairs = []
+    zetas = zip(contracting_zeta(field.right, lams).tolist(), expanding_zeta(field.left, lams).tolist())
+    for lam, tilde, (zeta_in, zeta_out) in zip(lams.tolist(), np.moveaxis(np.array(rows), -1, 0), zetas):
+        s0, s1 = tilde[-x_m]
+        tilde *= s0.conjugate() / (abs(s0) * math.hypot(abs(s0), abs(s1)))
+        raw = GeometricVector(
+            plus_cut=x_p,
+            minus_cut=x_m,
+            zeta_in=zeta_in,
+            zeta_out=zeta_out,
+            plus_coef=np.array([zeta_in * tilde[-1, 0], tilde[-1, 1]]) * zeta_in ** (-x_p),
+            minus_coef=np.array([zeta_out * tilde[0, 0], tilde[0, 1]]) * zeta_out ** (-x_m),
+            middle=np.stack((tilde[2:, 0], tilde[1:-1, 1]), axis=-1),
+        )
+        pairs.append(EigenPair(lam, tilde[-x_m], raw, 1.0 / math.sqrt(raw.norm_sq_total())))
+    return tuple(pairs)
+
+
+def build_eigenvector(field: CoinField, lam: float) -> EigenPair:
+    """The unit eigenvector at one eigenphase: :func:`build_eigenvectors` at ``lam``."""
+    return build_eigenvectors(field, [lam])[0]
 
 
 def limit_distribution(
@@ -562,5 +579,5 @@ class SpectralReport:
 def analyze(field: CoinField) -> SpectralReport:
     """Locate all eigenphases, build their eigenvectors, classify trapping."""
     phases = find_eigenphases(field)
-    pairs = tuple(build_eigenvector(field, lam) for lam in phases)
+    pairs = build_eigenvectors(field, phases)
     return SpectralReport(pairs, is_strongly_trapped(pairs))

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+from .algebra import TWO_PI
 from .walk import CoinField, Distribution, WalkState, time_averaged
 from .spectral import (
     RESIDUAL_ACCEPT,
@@ -90,6 +91,23 @@ def check_eigen_residuals(
     return tuple(out)
 
 
+def phase_gap(found: Sequence[float], want: Sequence[float]) -> float:
+    """Largest circular gap between two phase lists in ``[0, 2*pi)``; ``inf`` if counts differ.
+
+    Both lists are sorted and paired at the cyclic shift with the smallest
+    largest gap, so a root that one route puts just below ``2*pi`` and the
+    other at 0 is paired across the seam.
+    """
+    if len(found) != len(want):
+        return math.inf
+    found, want = sorted(found), sorted(want)
+    gaps = (
+        max(min(abs(a - b), TWO_PI - abs(a - b)) for a, b in zip(found, want[k:] + want[:k]))
+        for k in range(len(want))
+    )
+    return min(gaps, default=0.0)
+
+
 def check_limit_vs_simulation(
     field: CoinField,
     psi: tuple[complex, complex],
@@ -124,14 +142,7 @@ def run_all(
 
         spectrum = analyze(field)
         pairs = spectrum.eigenpairs
-        found = [p.lam for p in pairs]
-        if len(found) == len(rep.eigenphases):
-            gap = max(
-                (abs(a - b) for a, b in zip(found, sorted(rep.eigenphases))),
-                default=0.0,
-            )
-        else:
-            gap = math.inf
+        gap = phase_gap([p.lam for p in pairs], rep.eigenphases)
         reports.append(CheckReport("phase_match", label, gap, PHASE_MATCH_THRESHOLD))
 
         initial = WalkState.point(*preset.psi)

@@ -50,19 +50,23 @@ def test_trapping_convergence_deviation_shrinks(tmp_path):
 
 def test_solver_survey_on_the_presets(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    run_script("solver_survey.py", "--presets-only", "--out", first)
+    proc = run_script("solver_survey.py", "--presets-only", "--out", first)
+    assert proc.stdout.startswith("7 fields, 20 phases, 0 unpaired, 3 strongly trapped;")
     rows = json.loads(first.read_text())
     assert [r["field"] for r in rows] == [f"preset {k}" for k in range(1, 8)]
     assert [len(r["phases"]) for r in rows] == [4, 2, 4, 2, 2, 2, 4]
     assert [r["strongly_trapped"] for r in rows] == [True, False, True, False, False, False, True]
     proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first)
     assert "0 count differences, 0 verdict differences, largest phase gap 0," in proc.stdout
-    # a survey with one root fewer and a flipped verdict is reported, with exit status 1
+    assert not any("unpaired roots" in line for line in proc.stdout.splitlines())
+    # a survey with one root fewer and a flipped verdict is reported, with exit
+    # status 1; the dropped root's partner (2.526 for 5.668) is listed unpaired
     rows[0]["phases"].pop()
     rows[1]["strongly_trapped"] = True
     first.write_text(json.dumps(rows))
     proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first, status=1)
     assert "count differs: preset 1" in proc.stdout and "verdict differs: preset 2" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == f"  unpaired roots: preset 1: 0 here, 1 in {first}"
 
 
 def test_walk_timing_prints_each_kernel_and_horizon():

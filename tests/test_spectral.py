@@ -21,11 +21,13 @@ from qwtrap.spectral import (
     NotInAdmissibleSetError,
     _polish,
     _residual_core,
+    _residual_or_inf,
     _section_search,
     _site_step,
     admissible_arcs,
     analyze,
     build_eigenvector,
+    build_eigenvectors,
     canonical_phase,
     contracting_zeta,
     discriminant,
@@ -725,8 +727,9 @@ def test_polish_keeps_steps_inside_the_bracket():
 
 
 def test_refinement_batch_count(monkeypatch):
-    # a count of batched residual calls: the arc samples, about ten section
-    # calls, two Gauss-Newton steps and the final score
+    # a count of batched residual calls: the samples of each arc of one
+    # period, about ten section calls, two Gauss-Newton steps and the final
+    # score, and as many again for the partners
     import qwtrap.spectral as spectral
 
     calls = []
@@ -898,3 +901,59 @@ def test_solver_finds_floor_limited_roots():
     assert len(got) == len(want)
     assert all(abs(g - w) <= 1e-6 for g, w in zip(got, want))
 
+
+def _full_circle_phases(field):
+    """Eigenphases by sampling and refining every admissible arc of the whole circle.
+
+    The full-circle solve, the reference for the period solve: each arc of
+    ``admissible_arcs`` is sampled at spacing ``2*pi / DEFAULT_GRID`` with 17
+    to 4001 samples, every sampled local minimum is refined by the solver's
+    ``_section_search`` and ``_polish``, and the certified phases are mapped
+    by ``canonical_phase`` and deduplicated.  No root borrows its partner.
+    """
+    h = TWO_PI / DEFAULT_GRID
+    lo, hi = [np.empty(0)], [np.empty(0)]
+    for s, e in admissible_arcs(field):
+        n = max(17, min(4001, 2 * int((e - s) / h) + 1))
+        pts = s + (e - s) * (np.arange(n) + 0.5) / n
+        res = np.pad(_residual_or_inf(field, pts), 1, constant_values=np.inf)
+        mid = res[1:-1]
+        k = np.flatnonzero(np.isfinite(mid) & (mid <= res[:-2]) & (mid <= res[2:]))
+        ends = np.concatenate(([s], pts, [e]))
+        lo.append(ends[k])
+        hi.append(ends[k + 2])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    x, res = _polish(field, _section_search(field, lo, hi, 1e-12), lo, hi)
+    found = sorted((canonical_phase(a), r) for a, r in zip(x.tolist(), res.tolist()) if r < RESIDUAL_ACCEPT)
+    phases, best = [], math.inf
+    for k, (lam, r) in enumerate(found):
+        if phases and lam - found[k - 1][0] <= DEDUPE_TOL:
+            if r < best:
+                phases[-1], best = lam, r
+        else:
+            phases.append(lam)
+            best = r
+    return phases
+
+
+def test_period_solve_matches_full_circle_reference():
+    # 300 random cores: the same roots as the full-circle reference, each
+    # certified at the double reported; the batched eigenvectors equal the
+    # one-phase builds and are fixed points of one walk step
+    rng = np.random.default_rng(2402)
+    worst_step = 0.0
+    for k in range(300):
+        field = random_field(rng, max_cut=1 + k % 9)
+        got, want = find_eigenphases(field), _full_circle_phases(field)
+        assert len(got) == len(want), (k, got, want)
+        assert all(circ_gap(a, b) <= 1e-12 for a, b in zip(got, want)), (k, got, want)
+        assert all(eigen_residual(field, lam) < RESIDUAL_ACCEPT for lam in got), k
+        for pair in build_eigenvectors(field, got):
+            vec, one = pair.vector(), build_eigenvector(field, pair.lam).vector()
+            h = vec.tail_halfwidth(1e-16)
+            vals = vec.values(-h - 2, h + 2)
+            assert np.max(np.abs(vals - one.values(-h - 2, h + 2))) <= 1e-12, (k, pair.lam)
+            out = evolve(WalkState(-h - 2, vals), field, 1)
+            step = out.amps[-h - out.lo : h + 1 - out.lo] - np.exp(1j * pair.lam) * vals[2:-2]
+            worst_step = max(worst_step, float(np.max(np.abs(step))))
+    assert worst_step <= 1e-11

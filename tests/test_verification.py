@@ -1,5 +1,6 @@
 """Cross-validation harness: report semantics, ordering, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -7,13 +8,16 @@ import math
 import pytest
 
 import qwtrap.spectral as spectral
-from qwtrap.figures import preset
+import qwtrap.verification as verification
+from qwtrap.algebra import TWO_PI, make_coin
+from qwtrap.figures import PRESETS, preset
 from qwtrap.models import ModelReport, TrappingClass
 from qwtrap.spectral import limit_distribution
 from qwtrap.verification import (
     CheckReport,
     check_eigen_residuals,
     check_limit_vs_simulation,
+    phase_gap,
     run_all,
     write_reports,
 )
@@ -172,3 +176,29 @@ def test_run_all_solves_each_field_once(monkeypatch):
     monkeypatch.setattr(spectral, "find_eigenphases", counting)
     run_all(horizon=200)
     assert len(fields) == 7
+
+
+def test_phase_gap_is_circular():
+    assert phase_gap([], []) == 0.0
+    assert phase_gap([0.1], [0.1, 0.2]) == math.inf
+    a, b = 0.3, 0.30000000000000016
+    assert phase_gap([a], [b]) == abs(a - b)  # as exact as the plain difference
+    assert phase_gap([TWO_PI - 1e-9], [0.0]) == pytest.approx(1e-9, rel=1e-6)  # not 2*pi
+    # one route puts the seam root last, the other first: paired across the seam
+    assert phase_gap([1.0, 4.0, TWO_PI - 1e-9], [0.0, 1.0 + 1e-12, 4.0]) == pytest.approx(1e-9, rel=1e-3)
+    assert phase_gap([1.0, 4.0], [1.0, 4.5]) == pytest.approx(0.5)
+
+
+def test_phase_match_on_presets_turned_onto_the_seam(monkeypatch):
+    # every coin's delta moved by c multiplies U by exp(i*c): the preset's
+    # first root lands on the 0/2*pi seam, or 2e-8 below it
+    def turned(p, c):
+        coins = {k: getattr(p, k) for k in ("minus", "origin", "plus")}
+        return dataclasses.replace(p, **{k: make_coin(v.alpha, v.beta, v.delta + c) for k, v in coins.items()})
+
+    for p in PRESETS:
+        root = p.report().eigenphases[0]
+        for off in (0.0, -2e-8):
+            monkeypatch.setattr(verification, "PRESETS", (turned(p, off - root),))
+            (match,) = [r for r in run_all(horizon=50) if r.name == "phase_match"]
+            assert match.passed and match.metric <= 1e-12, (p.fig_id, off, match)

@@ -139,6 +139,23 @@ def test_linearity(rng):
         assert np.allclose(ec.amplitude(x), want, atol=1e-12)
 
 
+def test_parity_flip_anticommutes_with_the_walk():
+    # P = diag((-1)**x) on both components: the shift moves every amplitude
+    # by one site and the coin acts within a site, so P U P = -U and
+    # evolve(P psi, T) = (-1)**T P evolve(psi, T), bit for bit (negation is exact)
+    rng = np.random.default_rng(3301)
+    for k in range(200):
+        f = random_field(rng, max_cut=1 + k % 9)
+        lo, n = int(rng.integers(-6, 1)), int(rng.integers(2, 9))
+        amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        parity = (-1.0) ** np.arange(lo, lo + n)[:, None]
+        for t in (1, 7):
+            out = evolve(WalkState(lo, amps), f, t)
+            flipped = evolve(WalkState(lo, parity * amps), f, t)
+            want = (-1.0) ** t * (-1.0) ** np.arange(out.lo, out.hi + 1)[:, None] * out.amps
+            assert flipped.lo == out.lo and np.array_equal(flipped.amps, want), (k, t)
+
+
 def test_probability_masses():
     s = WalkState(0, np.array([[0.6, 0.0], [0.0, 0.8j]]))
     d = probability(s)
