@@ -12,14 +12,17 @@ For every field the survey records the eigenphases that
 A root is *unpaired* when no root of its field lies within ``DEDUPE_TOL``
 of its partner ``lam + pi`` (mod ``2*pi``): the point spectrum is invariant
 under ``lam -> lam + pi``, so each one marks a partner the solver could not
-certify.  The summary line counts them.
+certify.  A root is *uncertified* when ``eigen_residual`` at the reported
+double is not below ``RESIDUAL_ACCEPT`` (or the double is not admissible):
+the solver reported a phase that its own acceptance rule rejects, as a
+root moved onto the 0/2*pi seam can be.  The summary line counts both.
 
 With ``--compare OLD.json`` it also reports, against an earlier survey,
 the fields whose phase count or verdict differs, the largest phase gap
 (circular) on the fields whose counts agree, and every field with unpaired
-roots in either survey.  The exit status is 1 when a count or verdict
-differs or the gap exceeds ``PHASE_TOL`` (1e-12); unpaired roots alone do
-not change it.
+or uncertified roots in either survey.  The exit status is 1 when a count
+or verdict differs or the gap exceeds ``PHASE_TOL`` (1e-12); unpaired and
+uncertified roots alone do not change it.
 
     python scripts/solver_survey.py --out survey.json
     python scripts/solver_survey.py --out new.json --compare survey.json
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from qwtrap.figures import PRESETS
-from qwtrap.spectral import DEDUPE_TOL, analyze
+from qwtrap.spectral import DEDUPE_TOL, RESIDUAL_ACCEPT, NotInAdmissibleSetError, analyze, eigen_residual
 
 SEEDS = (7, 11, 13)
 DRAWS = 150
@@ -62,9 +65,9 @@ def survey_fields(presets_only=False):
     return fields
 
 
-def survey(presets_only=False):
+def survey(fields):
     out = []
-    for name, field in survey_fields(presets_only):
+    for name, field in fields.items():
         rep = analyze(field)
         out.append({
             "field": name,
@@ -77,6 +80,17 @@ def survey(presets_only=False):
 def unpaired(phases):
     """The phases with no phase within ``DEDUPE_TOL`` of ``lam + pi`` (mod ``2*pi``)."""
     return [a for a in phases if not any(abs((b - a) % (2.0 * math.pi) - math.pi) <= DEDUPE_TOL for b in phases)]
+
+
+def uncertified(field, phases):
+    """The phases whose ``eigen_residual`` on ``field`` is not below ``RESIDUAL_ACCEPT``."""
+    def residual(lam):
+        try:
+            return eigen_residual(field, lam)
+        except NotInAdmissibleSetError:
+            return math.inf
+
+    return [lam for lam in phases if not residual(lam) < RESIDUAL_ACCEPT]
 
 
 def compare(new, old):
@@ -105,14 +119,17 @@ def main() -> int:
     ap.add_argument("--presets-only", action="store_true", help="survey the seven presets only")
     args = ap.parse_args()
 
-    rows = survey(args.presets_only)
+    fields = dict(survey_fields(args.presets_only))
+    rows = survey(fields)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
         fh.write("\n")
     total = sum(len(r["phases"]) for r in rows)
     trapped = sum(r["strongly_trapped"] for r in rows)
     n_unpaired = sum(len(unpaired(r["phases"])) for r in rows)
-    print(f"{len(rows)} fields, {total} phases, {n_unpaired} unpaired, {trapped} strongly trapped; wrote {args.out}")
+    n_uncertified = sum(len(uncertified(fields[r["field"]], r["phases"])) for r in rows)
+    print(f"{len(rows)} fields, {total} phases, {n_unpaired} unpaired, {n_uncertified} uncertified, "
+          f"{trapped} strongly trapped; wrote {args.out}")
     if args.compare is None:
         return 0
 
@@ -126,11 +143,17 @@ def main() -> int:
         print(f"  count differs: {name}")
     for name in verdicts:
         print(f"  verdict differs: {name}")
+
+    def roots(kind, name, phases):
+        return unpaired(phases) if kind == "unpaired" else uncertified(fields[name], phases)
+
     old_by_name = {r["field"]: r["phases"] for r in old}
-    for r in rows:
-        here, there = len(unpaired(r["phases"])), len(unpaired(old_by_name.get(r["field"], [])))
-        if here or there:
-            print(f"  unpaired roots: {r['field']}: {here} here, {there} in {args.compare}")
+    for kind in ("unpaired", "uncertified"):
+        for r in rows:
+            here = len(roots(kind, r["field"], r["phases"]))
+            there = len(roots(kind, r["field"], old_by_name.get(r["field"], [])))
+            if here or there:
+                print(f"  {kind} roots: {r['field']}: {here} here, {there} in {args.compare}")
     return 1 if counts or verdicts or gap > PHASE_TOL else 0
 
 

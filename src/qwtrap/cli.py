@@ -47,7 +47,6 @@ import numpy as np
 from .algebra import Coin, make_coin
 from .walk import CoinField, Distribution, WalkState, evolve, probability, time_averaged
 from .spectral import (
-    INDEPENDENCE_TOL,
     NoEigenvalueError,
     NotInAdmissibleSetError,
     analyze,
@@ -71,8 +70,8 @@ DEFAULT_STEPS = 70
 EXIT_CHECK_FAILED = 3
 
 #: representative figure per closed-form family, used when ``model`` runs
-#: without a config file
-_MODEL_DEFAULT_FIG = {1: 1, 2: 3, 3: 4, 4: 5, 5: 7}
+#: without a config file: the family's last preset, in which every branch lives
+_MODEL_DEFAULT_FIG = {p.model_id: p.fig_id for p in PRESETS}
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -317,12 +316,10 @@ def _cmd_trap(args: argparse.Namespace) -> int:
     rep = analyze(_source(args)[0])
     pairs = rep.eigenpairs
     verdict = rep.strongly_trapped
+    # no origin value is zero (its psi_R(0) has modulus 1/sqrt(2) before scaling): the verdict fixes the rank
+    rank = 2 if verdict else min(len(pairs), 1)
     origin_vals = np.array([p.vector().value(0) for p in pairs]).reshape(-1, 2)
-    if len(pairs):
-        svals = np.linalg.svd(origin_vals, compute_uv=False)
-        rank = int(np.sum(svals > INDEPENDENCE_TOL * svals[0])) if svals[0] > 0 else 0
-    else:
-        svals, rank = np.zeros(0), 0
+    svals = np.linalg.svd(origin_vals, compute_uv=False) if pairs else np.zeros(0)
     doc = {
         "strongly_trapped": verdict,
         "eigenphases": [p.lam for p in pairs],
@@ -347,8 +344,8 @@ def _report_doc(rep: ModelReport, rows) -> dict:
         "branch_of": list(rep.branch_of),
         "scalars": {k: float(v) for k, v in rep.scalars.items()},
         "coefficients": {k: float(v) for k, v in rep.coefficients.items()},
-        "normalizers": [_complex_pair(complex(n)) for n in rep.normalizers],
-        "norm_corrections": [float(c) for c in rep.norm_corrections],
+        "normalizers": [_complex_pair(complex(f.normalizer)) for f in rep.closed_forms],
+        "norm_corrections": [float(f.norm_correction) for f in rep.closed_forms],
         "psi": [_complex_pair(p) for p in rep.psi],
         "limit_distribution": _records("x,mass", rows),
     }

@@ -6,11 +6,12 @@ strong-trapping verdict.  The presets are the single source of these
 values; everything downstream (verification checks, acceptance tests,
 the ``figure`` command) reads them from here.
 
-``FigurePreset.sweep`` traces the eigenvalue arcs: it varies the one
-angle that governs existence for the preset's family, with all moduli
-fixed, and records the closed-form eigenphases wherever the spectrum is
-nonempty.  Sweep values where the family formulas degenerate (isolated
-branch collisions) are skipped.
+``FigurePreset.sweep`` traces the eigenvalue arcs over ``SWEEP_POINTS``
+values of the one angle that governs existence for the preset's family,
+all moduli fixed: ``sweep_param`` names the angle and the coins it turns,
+and ``FAMILY_FIELD`` places the coins.  It records the closed-form
+eigenphases wherever the spectrum is nonempty and skips values where the
+family formulas degenerate (isolated branch collisions).
 """
 
 from __future__ import annotations
@@ -21,12 +22,23 @@ from dataclasses import dataclass
 
 from .algebra import Coin, TWO_PI, make_coin
 from .walk import CoinField, defect_field
-from .models import ConstraintError, DegeneracyError, ModelReport, family_report
+from .models import FAMILY_FIELD, ConstraintError, DegeneracyError, ModelReport, family_report
 
 _R = 1.0 / math.sqrt(2.0)
 # components of the reflection-free states used with figs 4 and 5
 _COS8 = math.sqrt(2.0 + math.sqrt(2.0)) / 2.0
 _SIN8 = math.sqrt(2.0 - math.sqrt(2.0)) / 2.0
+
+#: sweep values per full turn of the swept angle
+SWEEP_POINTS = 720
+
+#: the angle each ``sweep_param`` turns, and the coins it turns it on
+_SWEEPS = {
+    "arg_beta_o": ("arg_beta", ("origin",)),
+    "arg_beta_p": ("arg_beta", ("plus",)),
+    "delta_p": ("delta", ("plus",)),
+    "delta": ("delta", ("minus", "plus")),
+}
 
 
 @dataclass(frozen=True)
@@ -52,31 +64,20 @@ class FigurePreset:
         return family_report(self.model_id, self.minus, self.origin, self.plus, psi)
 
     def _swept(self, val: float) -> tuple[Coin, Coin, Coin]:
-        """Replace the swept angle by ``val``, keeping every modulus fixed."""
-        if self.model_id == 1:  # rotate the origin beta
-            o = self.origin
-            return self.minus, make_coin(o.alpha, abs(o.beta) * cmath.exp(1j * val), o.delta), self.plus
-        if self.model_id == 2:  # rotate the common coin phase
-            c = make_coin(self.minus.alpha, self.minus.beta, val)
-            return c, self.origin, c
-        if self.model_id == 3:  # rotate the plus-side coin phase
-            p = make_coin(self.plus.alpha, self.plus.beta, val)
-            return self.minus, p, p
-        if self.model_id == 4:  # rotate the plus-side beta
-            p = make_coin(self.plus.alpha, abs(self.plus.beta) * cmath.exp(1j * val), self.plus.delta)
-            return self.minus, p, p
-        # model 5: rotate the shared phase of both sides
-        return (
-            make_coin(self.minus.alpha, self.minus.beta, val),
-            self.origin,
-            make_coin(self.plus.alpha, self.plus.beta, val),
-        )
+        """The family's site coins with the swept angle set to ``val``, every modulus kept."""
+        angle, turned = _SWEEPS[self.sweep_param]
+        coins = {"minus": self.minus, "origin": self.origin, "plus": self.plus}
+        for role in (r for r in turned if r in FAMILY_FIELD[self.model_id]):  # families 1-2 set no plus coin
+            c = coins[role]
+            beta, delta = (abs(c.beta) * cmath.exp(1j * val), c.delta) if angle == "arg_beta" else (c.beta, val)
+            coins[role] = make_coin(c.alpha, beta, delta)
+        return tuple(coins[role] for role in FAMILY_FIELD[self.model_id])
 
-    def sweep(self, points: int = 720) -> tuple[tuple[float, str, float], ...]:
+    def sweep(self) -> tuple[tuple[float, str, float], ...]:
         """Rows ``(sweep_value, branch, eigenphase)`` over a full angle turn."""
         rows: list[tuple[float, str, float]] = []
-        for k in range(points):
-            val = k * TWO_PI / points
+        for k in range(SWEEP_POINTS):
+            val = k * TWO_PI / SWEEP_POINTS
             try:
                 rep = family_report(self.model_id, *self._swept(val), self.psi)
             except (ConstraintError, DegeneracyError):

@@ -11,9 +11,9 @@ distribution of an origin-supported state.
 ``defect_closed_form`` is the general construction: given any admissible
 eigenphase of a field with cuts at x = -1, +1 it produces the eigenvector,
 its squared-norm profile, and the overlap weight without reference to a
-particular family.  A report's eigenvectors come from it, built on first
-use, so a caller that reads only the phases (such as a figure sweep)
-never builds a vector.
+particular family.  A report's ``closed_forms`` come from it, built on
+first use, so a caller that reads only the phases (such as a figure
+sweep) never builds a vector.
 
 Families (``minus`` coin on x < 0, ``plus`` coin on x > 0):
 
@@ -104,14 +104,13 @@ class ModelReport:
     strongly trapped iff both branches exist, and is never strongly
     trapped without an eigenphase.
 
-    ``closed_forms``, ``vectors``, ``normalizers`` and
-    ``norm_corrections`` are index-aligned with ``eigenphases`` and built
-    on first access from :func:`defect_closed_form`, so a report whose
-    caller reads only the phases never builds a vector.  ``vectors`` hold
-    unit eigenvectors (numerically renormalized); ``normalizers`` are the
-    closed-form normalizers ``DefectEigenForm.normalizer``;
-    ``norm_corrections`` are the norms those normalizers produced before
-    renormalization, expected to be 1 within 1e-8.
+    ``closed_forms`` holds one :class:`DefectEigenForm` per eigenphase,
+    index-aligned with ``eigenphases`` and built on first access by
+    :func:`defect_closed_form`, so a report whose caller reads only the
+    phases never builds a vector.  Each form carries the unit eigenvector
+    (``vector``, numerically renormalized), the closed-form ``normalizer``
+    and the ``norm_correction`` that normalizer left, expected to be 1
+    within 1e-8.
     """
 
     model_id: int
@@ -142,18 +141,6 @@ class ModelReport:
     @functools.cached_property
     def closed_forms(self) -> tuple[DefectEigenForm, ...]:
         return tuple(defect_closed_form(self.field, lam) for lam in self.eigenphases)
-
-    @property
-    def vectors(self) -> tuple[GeometricVector, ...]:
-        return tuple(f.vector for f in self.closed_forms)
-
-    @property
-    def normalizers(self) -> tuple[float, ...]:
-        return tuple(f.normalizer for f in self.closed_forms)
-
-    @property
-    def norm_corrections(self) -> tuple[float, ...]:
-        return tuple(f.norm_correction for f in self.closed_forms)
 
     def limit_window(self, lo: int, hi: int) -> Distribution:
         """Closed-form limit distribution of the stored state on a window."""
@@ -463,7 +450,8 @@ def model5(minus: Coin, origin: Coin, plus: Coin, psi) -> ModelReport:
 MODEL_FUNCTIONS = {1: model1, 2: model2, 3: model3, 4: model4, 5: model5}
 
 #: the coins that family k puts on the minus side, the origin and the plus
-#: side of its defect field; it takes ``dict.fromkeys(FAMILY_FIELD[k])``
+#: side of its defect field; it takes ``dict.fromkeys(FAMILY_FIELD[k])``.
+#: The one statement of each layout: ``family_report`` and the figure sweeps read it.
 FAMILY_FIELD: Mapping[int, tuple[str, str, str]] = {
     1: ("minus", "origin", "minus"),
     2: ("minus", "origin", "minus"),

@@ -299,9 +299,9 @@ def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
 
 
 def canonical_phase(lam: float) -> float:
-    """``lam`` reduced to ``[0, 2*pi)``, reading a phase within ``DEDUPE_TOL`` below ``2*pi`` as 0."""
+    """``lam`` reduced to ``[0, 2*pi)``, reading a phase within the bracket width ``DEFAULT_REFINE_TOL`` below ``2*pi`` as 0."""
     lam %= TWO_PI
-    return 0.0 if lam > TWO_PI - DEDUPE_TOL else lam
+    return 0.0 if lam > TWO_PI - DEFAULT_REFINE_TOL else lam
 
 
 def find_eigenphases(field: CoinField) -> list[float]:

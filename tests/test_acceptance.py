@@ -150,7 +150,7 @@ def test_a04_eigenvector_fixed_points(closed_of, spectral_of):
             vec = pair.vector()
             worst_norm = max(worst_norm, abs(vec.norm_sq_total() - 1.0))
             worst_res = max(worst_res, _fixed_point_residual(field, pair.lam, vec))
-        for lam, vec in zip(rep.eigenphases, rep.vectors):  # closed-form route
+        for lam, vec in ((f.lam, f.vector) for f in rep.closed_forms):  # closed-form route
             worst_norm = max(worst_norm, abs(vec.norm_sq_total() - 1.0))
             worst_res = max(worst_res, _fixed_point_residual(field, lam, vec))
     ok = worst_res <= 1e-8 and worst_norm <= 1e-10

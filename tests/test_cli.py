@@ -8,12 +8,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qwtrap
+import qwtrap.cli as cli
 from qwtrap.cli import EXIT_CHECK_FAILED, run
 from qwtrap.models import ModelReport
+from qwtrap.spectral import SpectralReport, is_strongly_trapped
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 R = 1.0 / math.sqrt(2.0)
@@ -155,6 +158,25 @@ def test_trap_verdicts(capsys, tmp_path):
     code, out, _ = invoke(capsys, "trap", "--config", str(split))
     assert code == 0
     assert out.startswith("key,value\nstrongly_trapped,false\norigin_rank,1\n")
+
+
+def test_trap_rank_agrees_with_the_verdict(capsys, monkeypatch):
+    # origin values [1, 0] and [1, 1.5e-8] are independent for
+    # is_strongly_trapped (minor 1.5e-8 > 1e-8), while their second singular
+    # value (1.06e-8) sits below a relative threshold of 1e-8 * sqrt(2)
+    def pair(lam, origin):
+        vec = SimpleNamespace(value=lambda x: origin)
+        return SimpleNamespace(lam=lam, vector=lambda: vec)
+
+    pairs = (pair(0.5, (1.0, 0.0)), pair(3.6, (1.0, 1.5e-8)))
+    monkeypatch.setattr(cli, "analyze", lambda field: SpectralReport(pairs, is_strongly_trapped(pairs)))
+    code, out, _ = invoke(capsys, "trap", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["strongly_trapped"] is True and doc["origin_rank"] == 2
+    assert len(doc["origin_singular_values"]) == 2
+    code, out, _ = invoke(capsys, "trap")
+    assert out.startswith("key,value\nstrongly_trapped,true\norigin_rank,2\n")
 
 
 def test_model_json_report(capsys):

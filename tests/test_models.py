@@ -1,13 +1,14 @@
 """Closed-form family evaluators cross-checked against the grid solver."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from qwtrap.algebra import TWO_PI, make_coin
-from qwtrap.figures import preset
+from qwtrap.figures import SWEEP_POINTS, preset
 from qwtrap.models import (
     FAMILY_TRAPPING,
     MODEL_FUNCTIONS,
@@ -74,10 +75,9 @@ def assert_report_consistent(rep, expect_count=None, expect_trapped=None):
         assert not rep.exists
         assert rep.nu_bar(*rep.psi, 0) == 0.0
         return
-    for c in rep.norm_corrections:
-        assert abs(c - 1.0) <= 1e-8, rep.norm_corrections
-    for gv in rep.vectors:
-        assert abs(gv.norm_sq_total() - 1.0) <= 1e-10
+    for form in rep.closed_forms:
+        assert abs(form.norm_correction - 1.0) <= 1e-8, form.norm_correction
+        assert abs(form.vector.norm_sq_total() - 1.0) <= 1e-10
     pairs = [build_eigenvector(rep.field, lam) for lam in found]
     init = WalkState.point(*rep.psi)
     dist = limit_distribution(pairs, init, window=(-30, 30))
@@ -109,7 +109,7 @@ def test_figure_eigenvectors_match_solver_up_to_phase(closed_of, spectral_of, fi
         match = min(spectral_of(fig_id).eigenpairs, key=lambda p: circ_gap(p.lam, lam))
         assert circ_gap(match.lam, lam) <= 1e-8
         ref_vec = match.vector()
-        got = rep.vectors[k]
+        got = rep.closed_forms[k].vector
         c = np.vdot(got.values(-6, 6).ravel(), ref_vec.values(-6, 6).ravel())
         c /= abs(c)
         for x in range(-30, 31):
@@ -121,7 +121,7 @@ def test_figure_eigenvectors_match_solver_up_to_phase(closed_of, spectral_of, fi
 def test_figure_eigenvectors_satisfy_recurrence(closed_of, fig_id):
     rep = closed_of(fig_id)
     for k, lam in enumerate(rep.eigenphases):
-        vec = rep.vectors[k]
+        vec = rep.closed_forms[k].vector
         for x in range(-30, 30):
             jx = np.array([vec.value(x - 1)[0], vec.value(x)[1]])
             jx1 = np.array([vec.value(x)[0], vec.value(x + 1)[1]])
@@ -182,11 +182,11 @@ def test_reports_build_eigenvectors_only_on_first_use(monkeypatch):
         raise AssertionError("eigenvector built")
 
     monkeypatch.setattr("qwtrap.models.defect_closed_form", unavailable)
-    assert preset(1).sweep(points=16)
+    assert preset(1).sweep()
     rep = preset(1).report()
     assert rep.limit_window(-5, 5).mass_at(0) == pytest.approx(2.0 / 9.0, abs=1e-12)
     with pytest.raises(AssertionError, match="eigenvector built"):
-        rep.vectors[0].value(0)
+        rep.closed_forms[0].vector.value(0)
 
 
 def test_limit_window_clamps_roundoff_negatives(closed_of):
@@ -236,7 +236,7 @@ def test_model2_branch_toggle_across_boundary():
         init = WalkState.point(*psi)
         for x in (-4, 0, 3):
             direct = sum(
-                abs(v.overlap(init)) ** 2 * v.norm_sq_at(x) for v in rep.vectors
+                abs(f.vector.overlap(init)) ** 2 * f.vector.norm_sq_at(x) for f in rep.closed_forms
             )
             assert rep.nu_bar(psi[0], psi[1], x) == pytest.approx(direct, abs=1e-12)
 
@@ -327,8 +327,22 @@ def test_family_report_checks_its_field_before_the_family_constraints():
 SWEEP_ROWS = {1: 2876, 2: 2156, 3: 2156, 4: 718, 5: 1438, 6: 2156, 7: 2156}
 
 
+#: SHA-256 of every row of the seven preset sweeps, each float written
+#: exactly (``float.hex``), so that a change to how a sweep builds its
+#: coins must reproduce every row bit for bit
+SWEEP_DIGEST = "1fcf2fe8e6e630090cabc8da51735b94a6a6921545cb2c722646bd801f1bbfcc"
+
+
 def test_preset_sweeps_keep_every_row():
     assert {fig_id: len(preset(fig_id).sweep()) for fig_id in FIG_IDS} == SWEEP_ROWS
+
+
+def test_preset_sweeps_keep_every_value():
+    digest = hashlib.sha256()
+    for fig_id in FIG_IDS:
+        for val, label, lam in preset(fig_id).sweep():
+            digest.update(f"{fig_id},{val.hex()},{label},{lam.hex()};".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_model1_degenerate_branches():
@@ -496,8 +510,8 @@ def test_presets_and_sweeps_dispatch_through_model_functions(monkeypatch):
         p = preset(fig_id)
         calls.clear()
         rep = p.report()
-        p.sweep(points=6)
-        assert calls == [p.model_id] * 7
+        p.sweep()
+        assert calls == [p.model_id] * (1 + SWEEP_POINTS)
         again = family_report(p.model_id, p.minus, p.origin, p.plus, p.psi)
         assert again.eigenphases == rep.eigenphases
         assert np.array_equal(again.limit_window(-3, 3).masses, rep.limit_window(-3, 3).masses)

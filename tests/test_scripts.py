@@ -51,7 +51,7 @@ def test_trapping_convergence_deviation_shrinks(tmp_path):
 def test_solver_survey_on_the_presets(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     proc = run_script("solver_survey.py", "--presets-only", "--out", first)
-    assert proc.stdout.startswith("7 fields, 20 phases, 0 unpaired, 3 strongly trapped;")
+    assert proc.stdout.startswith("7 fields, 20 phases, 0 unpaired, 0 uncertified, 3 strongly trapped;")
     rows = json.loads(first.read_text())
     assert [r["field"] for r in rows] == [f"preset {k}" for k in range(1, 8)]
     assert [len(r["phases"]) for r in rows] == [4, 2, 4, 2, 2, 2, 4]
@@ -67,6 +67,17 @@ def test_solver_survey_on_the_presets(tmp_path):
     proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first, status=1)
     assert "count differs: preset 1" in proc.stdout and "verdict differs: preset 2" in proc.stdout
     assert proc.stdout.splitlines()[-1] == f"  unpaired roots: preset 1: 0 here, 1 in {first}"
+    # a phase moved 1e-6 off its root is listed uncertified, and it and its
+    # partner unpaired; the gap alone sets exit status 1
+    rows = json.loads(second.read_text())
+    rows[2]["phases"][0] += 1e-6
+    first.write_text(json.dumps(rows))
+    proc = run_script("solver_survey.py", "--presets-only", "--out", second, "--compare", first, status=1)
+    assert "0 count differences, 0 verdict differences, largest phase gap 1e-06," in proc.stdout
+    assert proc.stdout.splitlines()[-2:] == [
+        f"  unpaired roots: preset 3: 0 here, 2 in {first}",
+        f"  uncertified roots: preset 3: 0 here, 1 in {first}",
+    ]
 
 
 def test_walk_timing_prints_each_kernel_and_horizon():

@@ -12,7 +12,7 @@ import qwtrap.verification as verification
 from qwtrap.algebra import TWO_PI, make_coin
 from qwtrap.figures import PRESETS, preset
 from qwtrap.models import ModelReport, TrappingClass
-from qwtrap.spectral import limit_distribution
+from qwtrap.spectral import RESIDUAL_ACCEPT, analyze, eigen_residual, limit_distribution
 from qwtrap.verification import (
     CheckReport,
     check_eigen_residuals,
@@ -189,16 +189,31 @@ def test_phase_gap_is_circular():
     assert phase_gap([1.0, 4.0], [1.0, 4.5]) == pytest.approx(0.5)
 
 
-def test_phase_match_on_presets_turned_onto_the_seam(monkeypatch):
-    # every coin's delta moved by c multiplies U by exp(i*c): the preset's
-    # first root lands on the 0/2*pi seam, or 2e-8 below it
-    def turned(p, c):
-        coins = {k: getattr(p, k) for k in ("minus", "origin", "plus")}
-        return dataclasses.replace(p, **{k: make_coin(v.alpha, v.beta, v.delta + c) for k, v in coins.items()})
+def _turned(p, c):
+    """Preset ``p`` with every coin's delta moved by ``c``, which multiplies U by exp(i*c)."""
+    coins = {k: getattr(p, k) for k in ("minus", "origin", "plus")}
+    return dataclasses.replace(p, **{k: make_coin(v.alpha, v.beta, v.delta + c) for k, v in coins.items()})
 
+
+def test_phase_match_on_presets_turned_onto_the_seam(monkeypatch):
+    # the preset's first root lands on the 0/2*pi seam, or up to 2e-8 below it
     for p in PRESETS:
         root = p.report().eigenphases[0]
-        for off in (0.0, -2e-8):
-            monkeypatch.setattr(verification, "PRESETS", (turned(p, off - root),))
+        for off in (0.0, -1e-9, -5e-9, -2e-8):
+            monkeypatch.setattr(verification, "PRESETS", (_turned(p, off - root),))
             (match,) = [r for r in run_all(horizon=50) if r.name == "phase_match"]
             assert match.passed and match.metric <= 1e-12, (p.fig_id, off, match)
+
+
+@pytest.mark.parametrize("off", [0.0, -1e-13, -1e-9, -5e-9, -2e-8, 1e-9])
+def test_both_routes_certify_a_root_turned_next_to_the_seam(off):
+    # a root just below 2*pi is read as 0 only within the solver's bracket
+    # width, so that both routes re-check their residuals at a phase that
+    # is still a root; a wider snap made analyze and closed_forms raise
+    for p in PRESETS:
+        q = _turned(p, off - p.report().eigenphases[0])
+        field, rep = q.field(), q.report()
+        solved = [pair.lam for pair in analyze(field).eigenpairs]
+        closed = [form.lam for form in rep.closed_forms]
+        assert phase_gap(solved, closed) <= 1e-12, (p.fig_id, off, solved, closed)
+        assert max(eigen_residual(field, lam) for lam in solved + closed) < RESIDUAL_ACCEPT
