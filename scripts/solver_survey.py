@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from qwtrap.figures import PRESETS
-from qwtrap.spectral import DEDUPE_TOL, RESIDUAL_ACCEPT, NotInAdmissibleSetError, analyze, eigen_residual
+from qwtrap.spectral import DEDUPE_TOL, RESIDUAL_ACCEPT, NotInAdmissibleSetError, analyze, circular_gap, eigen_residual
 
 SEEDS = (7, 11, 13)
 DRAWS = 150
@@ -79,7 +79,7 @@ def survey(fields):
 
 def unpaired(phases):
     """The phases with no phase within ``DEDUPE_TOL`` of ``lam + pi`` (mod ``2*pi``)."""
-    return [a for a in phases if not any(abs((b - a) % (2.0 * math.pi) - math.pi) <= DEDUPE_TOL for b in phases)]
+    return [a for a in phases if not any(circular_gap(b, a + math.pi) <= DEDUPE_TOL for b in phases)]
 
 
 def uncertified(field, phases):
@@ -106,7 +106,7 @@ def compare(new, old):
         if o["strongly_trapped"] != r["strongly_trapped"]:
             verdicts.append(r["field"])
         for a, b in zip(r["phases"], o["phases"]):
-            gap = max(gap, abs((a - b + math.pi) % (2.0 * math.pi) - math.pi))
+            gap = max(gap, circular_gap(a, b))
             same += a == b
     counts += sorted(set(old_by_name) - {r["field"] for r in new})
     return counts, verdicts, gap, same

@@ -4,8 +4,11 @@
 For one pinned figure preset and its point state at the origin, times
 ``evolve(state, field, T)`` and ``time_averaged(state, field, T)`` for each
 horizon ``T`` and prints the best of ``REPEAT`` runs, in ms per call and
-in microseconds per step.  Best-of-k is the figure to compare between two
-trees: on a shared host the slower runs measure the host, not the kernel.
+in microseconds per step.  It profiles one tree across horizons; it does
+not compare two trees: on a shared host best-of-5 of the same code read
+0.86 to 1.70 ms at ``T`` = 250 in separate processes.  Two trees are
+compared with alternating pairs of benchmark runs (``bench/run.py``), one
+tree then the other, and the ratio within each pair.
 ``--modulus A`` swaps the preset's field for a single-defect field whose
 three coins have ``|alpha| = A``: the cone's edge falls like ``A**t``, so a
 small ``A`` drives the outer tails below the smallest normal double early

@@ -24,7 +24,7 @@ The package splits into six layers:
 
 The package namespace exports the documented API, the names listed in
 the README's Library section; every other public name is imported from
-its own module (``qwtrap.spectral.transfer_matrix``, ``qwtrap.figures.PRESETS``).
+its own module (``qwtrap.spectral.circular_gap``, ``qwtrap.figures.PRESETS``).
 """
 
 from .algebra import Coin, make_coin

@@ -43,12 +43,11 @@ import numpy as np
 from .algebra import Coin, TWO_PI
 from .walk import CoinField, Distribution, defect_field
 from .spectral import (
-    RESIDUAL_ACCEPT,
     GeometricVector,
-    NoEigenvalueError,
+    build_eigenvector,
     canonical_phase,
+    circular_gap,
     contracting_zeta,
-    eigen_residual,
     expanding_zeta,
 )
 
@@ -168,7 +167,7 @@ def _require_transmitting(*coins: Coin) -> None:
 
 
 def _same_angle(a: float, b: float) -> bool:
-    return abs((a - b + math.pi) % TWO_PI - math.pi) <= BOUNDARY_TOL
+    return circular_gap(a, b) <= BOUNDARY_TOL
 
 
 def _holds_strictly(margin: float) -> bool:
@@ -526,13 +525,11 @@ class DefectEigenForm:
 def defect_closed_form(field: CoinField, lam: float) -> DefectEigenForm:
     """Closed-form eigenvector data at one eigenphase of a single-defect field.
 
-    The phase must already be an eigenphase (residual below the acceptance
-    threshold); otherwise :class:`NoEigenvalueError` is raised.
+    The phase must already be an eigenphase: :func:`build_eigenvector`
+    certifies it, raising :class:`NoEigenvalueError` otherwise.
     """
     _require(field.x_minus == -1 and field.x_plus == 1, "field must have its only defect at the origin")
-    res = eigen_residual(field, lam)
-    if res >= RESIDUAL_ACCEPT:
-        raise NoEigenvalueError(f"residual {res:.3e} at phase {lam!r} is too large")
+    build_eigenvector(field, lam)
     lam = float(lam) % TWO_PI
     minus, origin = field.left, field.coin(0)
     ao, bo, dlo = origin.alpha, origin.beta, origin.delta

@@ -67,27 +67,6 @@ class NoEigenvalueError(ValueError):
     """The phase is not an eigenphase of the walk."""
 
 
-def transfer_matrix(coin: Coin, lam) -> np.ndarray:
-    """Transfer matrix of the reshaped eigenvector recurrence at one site.
-
-    An array of phases gives one matrix per phase, of shape
-    ``lam.shape + (2, 2)``.  The solver forms no transfer matrix: the core
-    is stepped through with :func:`_site_step`, and the left start of
-    :func:`_residual_core` is the kernel of ``T_left - zeta_out`` in closed
-    form.  This matrix is the reference those are checked against; on
-    hyperbolic phases its eigenvalues are :func:`contracting_zeta` and
-    :func:`expanding_zeta`.
-    """
-    e = np.exp(1j * (lam - coin.delta))
-    a = coin.alpha
-    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = e / a
-    out[..., 0, 1] = -coin.beta / a
-    out[..., 1, 0] = -coin.beta.conjugate() / a
-    out[..., 1, 1] = e.conjugate() / a
-    return out
-
-
 def discriminant(coin: Coin, lam) -> float | np.ndarray:
     """``cos^2(lam - delta) - |alpha|^2``; positive means hyperbolic."""
     c = np.cos(lam - coin.delta)
@@ -261,7 +240,9 @@ def _period_arcs(field: CoinField) -> list[tuple[float, float]]:
     ``arccos(|alpha|)`` about ``delta``, taken mod ``pi``.  The right
     coin's arc, centered at ``delta mod pi``, is cut by the left coin's arc
     and its images ``pi`` apart, so the pieces lie within the right coin's
-    arc: ends may fall below 0 or past ``pi``.
+    arc: ends may fall below 0 or past ``pi``.  A phase ``lam`` is in the
+    admissible set iff ``(lam - s) % pi < e - s`` for some arc ``(s, e)``
+    (up to rounding at the ends).
     """
     arcs = []
     for coin in (field.right, field.left):
@@ -279,29 +260,16 @@ def _period_arcs(field: CoinField) -> list[tuple[float, float]]:
     return out
 
 
-def admissible_arcs(field: CoinField) -> tuple[tuple[float, float], ...]:
-    """Arcs ``(start, end)`` of the admissible phase set, in closed form.
-
-    The admissible set is ``pi``-periodic, since ``cos^2(lam + pi - delta)
-    = cos^2(lam - delta)``: these are the arcs of one period and their
-    ``+pi`` copies, each moved by a multiple of ``2*pi`` so that it ends in
-    ``(0, 2*pi]``.  The arcs are sorted and disjoint, and together with
-    their images mod ``2*pi`` they are exactly the phases where
-    :func:`in_admissible_set` holds (up to rounding at the ends).  An arc
-    across the 0/2*pi seam comes back as one arc with a negative start.
-    """
-    arcs = []
-    for s, e in _period_arcs(field):
-        for a, b in ((s, e), (s + math.pi, e + math.pi)):
-            turn = TWO_PI * (math.ceil(b / TWO_PI) - 1)
-            arcs.append((a - turn, b - turn))
-    return tuple(sorted(arcs))
-
-
 def canonical_phase(lam: float) -> float:
     """``lam`` reduced to ``[0, 2*pi)``, reading a phase within the bracket width ``DEFAULT_REFINE_TOL`` below ``2*pi`` as 0."""
     lam %= TWO_PI
     return 0.0 if lam > TWO_PI - DEFAULT_REFINE_TOL else lam
+
+
+def circular_gap(a: float, b: float) -> float:
+    """Distance between phases ``a`` and ``b`` on the circle, in ``[0, pi]``."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 def find_eigenphases(field: CoinField) -> list[float]:
@@ -398,10 +366,6 @@ class GeometricVector:
             self.middle[max(lo - m - 1, 0) : max(min(hi, p - 1) - m, 0)],
             self.plus_coef * _powers(self.zeta_in, range(max(lo, p), hi + 1)),
         ))
-
-    def norm_sq_at(self, x: int) -> float:
-        v = self.value(x)
-        return float(abs(v[0]) ** 2 + abs(v[1]) ** 2)
 
     def norm_sq_total(self) -> float:
         """Total squared norm over the whole lattice, tails in closed form."""

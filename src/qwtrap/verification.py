@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .algebra import TWO_PI
 from .walk import CoinField, Distribution, WalkState, time_averaged
 from .spectral import (
     RESIDUAL_ACCEPT,
     analyze,
+    circular_gap,
     eigen_residual,
     find_eigenphases,  # noqa: F401  (bench/test_bench.py reaches the solver through this module)
     limit_distribution,
@@ -102,7 +102,7 @@ def phase_gap(found: Sequence[float], want: Sequence[float]) -> float:
         return math.inf
     found, want = sorted(found), sorted(want)
     gaps = (
-        max(min(abs(a - b), TWO_PI - abs(a - b)) for a, b in zip(found, want[k:] + want[:k]))
+        max(circular_gap(a, b) for a, b in zip(found, want[k:] + want[:k]))
         for k in range(len(want))
     )
     return min(gaps, default=0.0)

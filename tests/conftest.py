@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded random draws and cached per-figure analyses.
+"""Shared fixtures: seeded random draws, cached per-figure analyses and the transfer matrix.
 
 The spectral analyses at the default grid are the slowest objects the
 suite needs; they are computed once per session and shared by every test
@@ -15,6 +15,27 @@ from qwtrap.algebra import Coin, make_coin
 from qwtrap.figures import preset
 from qwtrap.spectral import SpectralReport, analyze
 from qwtrap.walk import CoinField
+
+
+def transfer_matrix(coin: Coin, lam) -> np.ndarray:
+    """Transfer matrix of the reshaped eigenvector recurrence at one site.
+
+    An array of phases gives one matrix per phase, of shape
+    ``lam.shape + (2, 2)``.  The solver forms no transfer matrix: the core
+    is stepped through with ``spectral._site_step``, and the left start of
+    ``spectral._residual_core`` is the kernel of ``T_left - zeta_out`` in
+    closed form.  This matrix is the reference those are checked against;
+    on hyperbolic phases its eigenvalues are ``contracting_zeta`` and
+    ``expanding_zeta``.
+    """
+    e = np.exp(1j * (lam - coin.delta))
+    a = coin.alpha
+    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = e / a
+    out[..., 0, 1] = -coin.beta / a
+    out[..., 1, 0] = -coin.beta.conjugate() / a
+    out[..., 1, 1] = e.conjugate() / a
+    return out
 
 
 def random_coin(rng, delta: float | None = None, margin: float = 0.05) -> Coin:

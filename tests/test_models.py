@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import transfer_matrix
 from qwtrap.algebra import TWO_PI, make_coin
 from qwtrap.figures import SWEEP_POINTS, preset
 from qwtrap.models import (
@@ -30,7 +31,6 @@ from qwtrap.spectral import (
     find_eigenphases,
     is_strongly_trapped,
     limit_distribution,
-    transfer_matrix,
 )
 from qwtrap.walk import CoinField, WalkState, defect_field
 
@@ -236,7 +236,7 @@ def test_model2_branch_toggle_across_boundary():
         init = WalkState.point(*psi)
         for x in (-4, 0, 3):
             direct = sum(
-                abs(f.vector.overlap(init)) ** 2 * f.vector.norm_sq_at(x) for f in rep.closed_forms
+                abs(f.vector.overlap(init)) ** 2 * np.linalg.norm(f.vector.value(x)) ** 2 for f in rep.closed_forms
             )
             assert rep.nu_bar(psi[0], psi[1], x) == pytest.approx(direct, abs=1e-12)
 
@@ -457,7 +457,7 @@ def test_defect_closed_form_on_figure_field(closed_of, spectral_of):
         for x in range(-30, 31):
             gap = np.max(np.abs(ref.value(x) - c * form.vector.value(x)))
             assert float(gap) <= 1e-8
-            assert abs(form.norm_sq(x) - ref.norm_sq_at(x)) <= 1e-8
+            assert abs(form.norm_sq(x) - np.linalg.norm(ref.value(x)) ** 2) <= 1e-8
         ov = form.overlap_sq(*psi)
         manual = abs(np.vdot(form.vector.value(0), np.array(psi))) ** 2
         assert ov == pytest.approx(float(manual), abs=1e-12)
@@ -485,12 +485,20 @@ def test_defect_closed_form_random_fields():
             assert abs(abs(form.m_factor) - 1.0) <= 1e-12
             assert abs(form.norm_correction - 1.0) <= 1e-8
             for x in range(-12, 13):
-                assert abs(form.norm_sq(x) - ref.norm_sq_at(x)) <= 1e-8
+                assert abs(form.norm_sq(x) - np.linalg.norm(ref.value(x)) ** 2) <= 1e-8
 
 
 def test_defect_closed_form_rejects_non_eigenphase(closed_of):
     with pytest.raises((NoEigenvalueError,)):
         defect_closed_form(closed_of(1).field, 0.3)
+
+
+def test_defect_closed_form_rejects_inadmissible_phase():
+    # as build_eigenvector does: a phase outside the admissible set is not an
+    # eigenphase, rather than a NotInAdmissibleSetError from eigen_residual
+    with pytest.raises(NoEigenvalueError, match="is not admissible") as info:
+        defect_closed_form(preset(1).field(), math.pi / 2.0)
+    assert type(info.value) is NoEigenvalueError
 
 
 def test_defect_closed_form_requires_single_defect():

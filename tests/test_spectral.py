@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coin, random_field, random_unit_psi
+from conftest import random_coin, random_field, random_unit_psi, transfer_matrix
 from qwtrap.algebra import TWO_PI, make_coin
 from qwtrap.figures import PRESETS, preset
 from qwtrap.spectral import (
@@ -19,16 +19,17 @@ from qwtrap.spectral import (
     GeometricVector,
     NoEigenvalueError,
     NotInAdmissibleSetError,
+    _period_arcs,
     _polish,
     _residual_core,
     _residual_or_inf,
     _section_search,
     _site_step,
-    admissible_arcs,
     analyze,
     build_eigenvector,
     build_eigenvectors,
     canonical_phase,
+    circular_gap,
     contracting_zeta,
     discriminant,
     eigen_residual,
@@ -37,7 +38,6 @@ from qwtrap.spectral import (
     in_admissible_set,
     is_strongly_trapped,
     limit_distribution,
-    transfer_matrix,
     trapped_mass,
 )
 from qwtrap.walk import CoinField, WalkState, evolve, uniform_field
@@ -51,6 +51,11 @@ EXPECTED_TRAPPING = {1: True, 2: False, 3: True, 4: False, 5: False, 6: False, 7
 
 def circ_gap(a: float, b: float) -> float:
     return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def _circle_arcs(field):
+    """The admissible set on the whole circle: each arc of ``_period_arcs`` and its ``+pi`` copy."""
+    return [(s + c, e + c) for c in (0.0, math.pi) for s, e in _period_arcs(field)]
 
 
 def test_transfer_matrix_entries():
@@ -192,6 +197,20 @@ def test_phases_canonical_range(spectral_of):
             assert abs(abs(np.exp(1j * p.lam)) - 1.0) <= 1e-12
 
 
+def test_circular_gap_matches_reference(rng):
+    # random pairs from [0, 2*pi) and from (-pi, pi], pairs across the 0/2*pi
+    # seam, pairs exactly pi apart and equal pairs
+    pairs = rng.uniform(0.0, TWO_PI, size=(2000, 2)).tolist()
+    pairs += (math.pi - rng.uniform(0.0, TWO_PI, size=(2000, 2))).tolist()
+    pairs += [(TWO_PI - d, d) for d in rng.uniform(0.0, 1e-3, size=50).tolist()] + [(TWO_PI - 1e-9, 0.0)]
+    pairs += [(a, a + math.pi) for a in rng.uniform(-math.pi, 0.0, size=50).tolist()] + [(0.0, math.pi)]
+    for a, b in pairs:
+        assert abs(circular_gap(a, b) - circ_gap(a, b)) <= 1e-15, (a, b)
+        assert circular_gap(a, b) == circular_gap(b, a)
+    for a in rng.uniform(-math.pi, TWO_PI, size=50).tolist() + [0.0, math.pi]:
+        assert circular_gap(a, a) == 0.0
+
+
 def test_eigenvector_unit_norm(spectral_of):
     for fig_id in EXPECTED_COUNTS:
         for pair in spectral_of(fig_id).eigenpairs:
@@ -248,12 +267,12 @@ def test_eigenvector_geometric_decay(spectral_of):
             vec = pair.vector()
             r = abs(vec.zeta_in) ** 2
             rho = abs(vec.zeta_out) ** 2
-            base_p = vec.norm_sq_at(vec.plus_cut)
-            base_m = vec.norm_sq_at(vec.minus_cut)
+            base_p = np.linalg.norm(vec.value(vec.plus_cut)) ** 2
+            base_m = np.linalg.norm(vec.value(vec.minus_cut)) ** 2
             for k in range(1, 12):
-                got = vec.norm_sq_at(vec.plus_cut + k)
+                got = np.linalg.norm(vec.value(vec.plus_cut + k)) ** 2
                 assert got == pytest.approx(base_p * r**k, rel=1e-12)
-                got = vec.norm_sq_at(vec.minus_cut - k)
+                got = np.linalg.norm(vec.value(vec.minus_cut - k)) ** 2
                 assert got == pytest.approx(base_m * rho**-k, rel=1e-12)
 
 
@@ -299,7 +318,7 @@ def test_left_start_is_the_closed_form_kernel_vector(rng):
     for k, coin in enumerate(coins):
         field = uniform_field(coin)
         lams = []
-        for s, e in admissible_arcs(field):  # 20 samples and a phase within 1e-9 of each end
+        for s, e in _circle_arcs(field):  # 20 samples and a phase within 1e-9 of each end
             off = 10.0 ** -rng.uniform(9.0, 12.0, size=2)
             lams.append(np.concatenate((rng.uniform(s, e, size=20), [s + off[0], e - off[1]])))
         lams = np.concatenate(lams) % TWO_PI
@@ -377,7 +396,7 @@ def _residual_test_phases(field):
     """
     roots = np.asarray(find_eigenphases(field))
     lams = [roots]
-    for s, e in admissible_arcs(field):
+    for s, e in _circle_arcs(field):
         lams.append((s + (e - s) * (np.arange(200) + 0.5) / 200) % TWO_PI)
     lams = np.concatenate(lams)
     is_root = np.arange(lams.size) < roots.size
@@ -541,56 +560,54 @@ def test_scaled_vector(spectral_of):
 
 
 def test_admissible_arcs_hadamard():
-    arcs = admissible_arcs(uniform_field(HADAMARD))
-    assert len(arcs) == 2
+    # one arc of measure pi/2 per period, pi on the whole circle
+    arcs = _period_arcs(uniform_field(HADAMARD))
+    assert len(arcs) == 1
     measure = sum(e - s for s, e in arcs)
-    assert measure == pytest.approx(math.pi, abs=0.01)
+    assert measure == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_admissible_arcs_are_exact():
     delta, half = 0.3, math.pi / 4.0
-    arcs = admissible_arcs(uniform_field(make_coin(R, R, delta)))
-    assert len(arcs) == 2
-    assert arcs[0][0] < 0.0  # the arc across the 0/2*pi seam stays whole
-    want = ((delta - half, delta + half), (delta + math.pi - half, delta + math.pi + half))
-    for got, exact in zip(arcs, want):
-        assert got == pytest.approx(exact, abs=1e-12)
+    arcs = _period_arcs(uniform_field(make_coin(R, R, delta)))
+    assert len(arcs) == 1
+    assert arcs[0][0] < 0.0  # the arc across 0 stays whole
+    assert arcs[0] == pytest.approx((delta - half, delta + half), abs=1e-12)
 
 
 def test_found_phases_lie_in_arcs(spectral_of):
+    # the admissible set is pi-periodic: lam is in it iff (lam - s) % pi < e - s
+    # for some period arc (s, e)
     for fig_id in EXPECTED_COUNTS:
-        arcs = admissible_arcs(preset(fig_id).field())
+        arcs = _period_arcs(preset(fig_id).field())
         for pair in spectral_of(fig_id).eigenpairs:
-            inside = any(
-                s - 1e-3 <= pair.lam <= e + 1e-3
-                or s - 1e-3 <= pair.lam - TWO_PI <= e + 1e-3
-                for s, e in arcs
-            )
+            inside = any((pair.lam - s + 1e-3) % math.pi <= e - s + 2e-3 for s, e in arcs)
             assert inside, f"fig{fig_id} lam={pair.lam}"
 
 
 def test_admissible_arcs_match_pointwise_set():
-    # random multi-site cores, phases more than 1e-9 from every arc end
+    # random multi-site cores, phases more than 1e-9 from every arc end and
+    # its images pi apart
     rng = np.random.default_rng(2101)
     across = 0
     for k in range(300):
         field = random_field(rng, max_cut=1 + k % 9)
-        arcs = admissible_arcs(field)
+        arcs = _period_arcs(field)
         ends = np.array([v for arc in arcs for v in arc])
         assert all(s < e for s, e in arcs)
         assert all(e1 <= s2 for (_, e1), (s2, _) in zip(arcs, arcs[1:]))
         if arcs:
-            assert arcs[-1][1] <= arcs[0][0] + TWO_PI
+            assert arcs[-1][1] <= arcs[0][0] + math.pi
         across += any(s < 0.0 for s, _ in arcs)
         lams = rng.uniform(0.0, TWO_PI, 2000)
         if ends.size:
-            gap = np.abs((lams[:, None] - ends + math.pi) % TWO_PI - math.pi)
+            gap = np.abs((lams[:, None] - ends + math.pi / 2.0) % math.pi - math.pi / 2.0)
             lams = lams[gap.min(axis=1) > 1e-9]
         inside = np.zeros(lams.shape, dtype=bool)
         for s, e in arcs:
-            inside |= (lams - s) % TWO_PI < e - s
+            inside |= (lams - s) % math.pi < e - s
         assert np.array_equal(inside, in_admissible_set(field, lams)), k
-    assert across > 0
+    assert across > 0  # some arcs start below 0, where the reduction mod pi matters
 
 
 def _rotated(field, c):
@@ -757,7 +774,7 @@ def _kernel_row_switches(field):
         m[..., 1, 1] -= expanding_zeta(field.left, lams)
         return np.abs(m[..., 0, :]).sum(axis=-1) - np.abs(m[..., 1, :]).sum(axis=-1)
 
-    arcs = admissible_arcs(field)
+    arcs = _circle_arcs(field)
     if not arcs:
         return np.empty(0)
     lams = np.array([np.linspace(s, e, 2001)[1:-1] for s, e in arcs])
@@ -781,7 +798,7 @@ def test_mismatch_has_no_phase_jumps():
     for k, field in enumerate([p.field() for p in PRESETS] + _wide_core_fields()):
         rows = _kernel_row_switches(field)
         switches += rows.size
-        lams = np.concatenate([rows] + [s + (e - s) * (np.arange(40) + 0.5) / 40 for s, e in admissible_arcs(field)])
+        lams = np.concatenate([rows] + [s + (e - s) * (np.arange(40) + 0.5) / 40 for s, e in _circle_arcs(field)])
         stencil = lams[:, None] + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         stencil = stencil[in_admissible_set(field, stencil % TWO_PI).all(axis=1)]
         if not stencil.size:
@@ -906,14 +923,14 @@ def _full_circle_phases(field):
     """Eigenphases by sampling and refining every admissible arc of the whole circle.
 
     The full-circle solve, the reference for the period solve: each arc of
-    ``admissible_arcs`` is sampled at spacing ``2*pi / DEFAULT_GRID`` with 17
+    ``_circle_arcs`` is sampled at spacing ``2*pi / DEFAULT_GRID`` with 17
     to 4001 samples, every sampled local minimum is refined by the solver's
     ``_section_search`` and ``_polish``, and the certified phases are mapped
     by ``canonical_phase`` and deduplicated.  No root borrows its partner.
     """
     h = TWO_PI / DEFAULT_GRID
     lo, hi = [np.empty(0)], [np.empty(0)]
-    for s, e in admissible_arcs(field):
+    for s, e in _circle_arcs(field):
         n = max(17, min(4001, 2 * int((e - s) / h) + 1))
         pts = s + (e - s) * (np.arange(n) + 0.5) / n
         res = np.pad(_residual_or_inf(field, pts), 1, constant_values=np.inf)
