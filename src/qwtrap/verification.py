@@ -2,10 +2,11 @@
 
 Every quantity here is computed at least twice: eigenphases by the
 closed forms and by the grid solver, limit distributions by the spectral
-formula and by direct long-horizon averaging, trapping verdicts by the
-family classification and by the origin-rank test.  Checks reduce each
-comparison to a single scalar metric with a pinned threshold; a check
-passes exactly when its metric is finite and at most the threshold.
+formula and by averaging the walk over the second half of a finite
+horizon, trapping verdicts by the family classification and by the
+origin-rank test.  Checks reduce each comparison to a single scalar
+metric with a pinned threshold; a check passes exactly when its metric
+is finite and at most the threshold.
 
 ``run_all`` executes the full battery over the figure catalogue: it solves
 each preset's field once and hands that spectrum to every check
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .walk import CoinField, Distribution, WalkState, time_averaged
+from .walk import CoinField, Distribution, WalkState, evolve, time_averaged
 from .spectral import (
     RESIDUAL_ACCEPT,
     analyze,
@@ -38,9 +39,11 @@ from .models import TrappingClass
 from .figures import PRESETS
 
 PHASE_MATCH_THRESHOLD = 1e-8
+# bench/workloads.py::check_average also reads this bound, so tightening it
+# changes the benchmark's ``cesaro`` gate too; tests pin the presets tighter.
 LIMIT_VS_SIM_THRESHOLD = 0.01
 MASS_IDENTITY_THRESHOLD = 1e-10
-DEFAULT_HORIZON = 2000
+DEFAULT_HORIZON = 1000
 DEFAULT_WINDOW = 20
 
 
@@ -115,13 +118,19 @@ def check_limit_vs_simulation(
     horizon: int = DEFAULT_HORIZON,
     label: str = "",
 ) -> CheckReport:
-    """Finite-horizon time average from ``psi`` against its limit distribution ``exact``.
+    """Late-window time average from ``psi`` against its limit distribution ``exact``.
 
-    The metric is the largest pointwise gap on ``exact``'s window.  An
-    empty point spectrum makes ``exact`` identically zero, so the check
-    also covers the escaping (zero trapped mass) cases.
+    The walk runs ``h = horizon // 2`` steps unrecorded and is then
+    averaged over steps ``h .. horizon - 1``.  That average equals the
+    Richardson extrapolant ``2 A_T - A_{T/2}`` of the plain averages
+    ``A_T`` (exactly so for even ``horizon``), which cancels their
+    ``c(x)/T`` remainder.  The metric is the largest pointwise gap on
+    ``exact``'s window.  An empty point spectrum makes ``exact``
+    identically zero, so the check also covers the escaping (zero
+    trapped mass) cases.
     """
-    empirical = time_averaged(WalkState.point(*psi), field, horizon)
+    h = horizon // 2
+    empirical = time_averaged(evolve(WalkState.point(*psi), field, h), field, horizon - h)
     metric = max(
         abs(empirical.mass_at(x) - exact.mass_at(x)) for x in range(exact.lo, exact.hi + 1)
     )

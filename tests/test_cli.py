@@ -282,7 +282,7 @@ def test_verify_writes_json_lines(tmp_path, capsys):
 
 
 def test_verify_exit_code_reports_failed_checks(tmp_path, capsys):
-    # five steps are far too few for the time averages to converge
+    # steps 2 .. 4 are far too few for the late-window averages to converge
     out = tmp_path / "checks.jsonl"
     code = run(["verify", "--horizon", "5", "--window", "8", "--out", str(out)])
     captured = capsys.readouterr()

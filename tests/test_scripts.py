@@ -39,13 +39,16 @@ def test_make_figures_matches_cli(tmp_path):
 
 def test_trapping_convergence_deviation_shrinks(tmp_path):
     out = tmp_path / "conv.csv"
-    proc = run_script("trapping_convergence.py", "--id", 1, "--horizons", 50, 100, "--out", out)
+    proc = run_script("trapping_convergence.py", "--id", 1, "--horizons", 50, 100, 1000, "--out", out)
     assert "trapping class strongly_trapped" in proc.stdout
     header, *rows = out.read_text().splitlines()
-    assert header == "T,sup_deviation"
-    assert [int(r.split(",")[0]) for r in rows] == [50, 100]
+    assert header == "T,sup_deviation,late_deviation"
+    assert [int(r.split(",")[0]) for r in rows] == [50, 100, 1000]
     devs = [float(r.split(",")[1]) for r in rows]
     assert 0.0 < devs[1] < devs[0]
+    # the late window cancels the plain average's 1/T term: 3.96e-5 against 4.67e-4
+    late = float(rows[2].split(",")[2])
+    assert 0.0 < late < devs[2] / 5
 
 
 def test_solver_survey_on_the_presets(tmp_path):
