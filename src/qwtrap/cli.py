@@ -256,8 +256,6 @@ def _maybe_svg(args: argparse.Namespace, rows, col: int, title: str) -> None:
     """Chart column ``col`` of the emitted ``rows`` against their first column."""
     if not args.svg:
         return
-    if args.out is None:
-        raise ValueError("--svg needs --out to derive the chart path")
     chart = _svg_bars([r[0] for r in rows], [r[col] for r in rows], title)
     _write_text(os.path.splitext(args.out)[0] + ".svg", chart)
 
@@ -471,6 +469,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "svg", False) and args.out is None:  # before the handler writes anything
+            raise ValueError("--svg needs --out to derive the chart path")
         return _COMMANDS[args.command][0](args)
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -492,8 +492,6 @@ class DefectEigenForm:
     lam: float
     m_factor: complex
     normalizer: float
-    zeta_in: complex
-    zeta_out: complex
     vector: GeometricVector
     norm_correction: float
     origin_coin: Coin
@@ -505,9 +503,9 @@ class DefectEigenForm:
         if x == 0:
             return N * (1.0 + reB)
         if x >= 1:
-            r = abs(self.zeta_in) ** 2
+            r = abs(self.vector.zeta_in) ** 2
             return N * ((1.0 + abs(bo) ** 2) / 2.0 + reB) * (1.0 + 1.0 / r) * r ** x
-        rho2 = abs(self.zeta_out) ** 2
+        rho2 = abs(self.vector.zeta_out) ** 2
         return N * (1.0 - abs(bo) ** 2) / 2.0 * (1.0 + rho2) * rho2 ** x
 
     def overlap_sq(self, psi1: complex, psi2: complex) -> float:
@@ -571,8 +569,6 @@ def defect_closed_form(field: CoinField, lam: float) -> DefectEigenForm:
         lam=lam,
         m_factor=M,
         normalizer=N,
-        zeta_in=zeta_in,
-        zeta_out=zeta_out,
         vector=gv.scaled(1.0 / c),
         norm_correction=c,
         origin_coin=origin,

@@ -352,14 +352,10 @@ class GeometricVector:
     middle: np.ndarray
 
     def value(self, x: int) -> np.ndarray:
-        if x >= self.plus_cut:
-            return self.plus_coef * self.zeta_in ** x
-        if x <= self.minus_cut:
-            return self.minus_coef * self.zeta_out ** x
-        return self.middle[x - self.minus_cut - 1].copy()
+        return self.values(x, x)[0]
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``value(x)`` for ``x = lo .. hi``, bit for bit, one closed form per region."""
+        """Rows ``x = lo .. hi`` of the vector, one closed form per region."""
         m, p = self.minus_cut, self.plus_cut
         return np.concatenate((
             self.minus_coef * _powers(self.zeta_out, range(lo, min(hi, m) + 1)),

@@ -16,11 +16,12 @@ six ufunc calls per step on views rebuilt only when the cone reaches the
 margin's edge.  Past the cone the coin products keep zeros zero, so this
 is exact, and ``t`` steps from a point state cost about ``t**2 / 2`` site
 updates.  :func:`time_averaged` squares the region's real and imaginary
-parts into a block per parity, summed per site into a pairwise sum at
-each rebuild.  Once ``|alpha|**t`` < 1e-308 the cone's tails turn
-subnormal, which is slow, so a rebuild that finds an outermost column of
-the cone below ``floor * 2**200`` sets every real or imaginary part below
-``floor`` to +0.0 and shrinks the cone to the nonzero columns left.
+parts into a block per parity and, at each rebuild, folds the block's
+per-site sums into a pairwise sum of window-length terms.  Once
+``|alpha|**t`` < 1e-308 the cone's tails turn subnormal, which is slow,
+so a rebuild that finds an outermost column of the cone below
+``floor * 2**200`` sets every real or imaginary part below ``floor`` to
++0.0 and shrinks the cone to the nonzero columns left.
 :func:`evolve` flushes only subnormals (``floor`` = 2**-1022);
 :func:`time_averaged` scales the state exactly by a power of two to put
 its largest amplitude near 2**450 and flushes below 2**-511, so every
@@ -269,48 +270,14 @@ def probability(state: WalkState) -> Distribution:
     return Distribution(state.lo, masses)
 
 
-class _PairwiseSum:
-    """Binary-counter pairwise accumulation with O(log n) partial blocks.
-
-    A block is ``(offset, values)``: the slice at ``offset`` of an array
-    that is zero elsewhere.  Terms may grow, shrink or shift; if they hold
-    no negative zeros, the sums equal, bit for bit, those of the zero-padded
-    arrays, because adding an exact zero changes nothing.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: list[tuple[int, np.ndarray] | None] = []
-
-    @staticmethod
-    def _merge(outer: tuple[int, np.ndarray], inner: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-        """Add ``inner`` into ``outer``'s values, in place if ``outer`` covers ``inner``."""
-        (start, values), (offset, term) = outer, inner
-        first, stop = min(start, offset), max(start + len(values), offset + len(term))
-        if (first, stop) != (start, start + len(values)):
-            start, values = first, np.pad(values, (start - first, stop - start - len(values)))
-        values[offset - start : offset - start + len(term)] += term
-        return start, values
-
-    def add(self, offset: int, term: np.ndarray) -> None:
-        """Accumulate ``term`` at ``offset``; the sum takes ownership of ``term``."""
-        carry = (offset, term)
-        for i, block in enumerate(self._blocks):
-            if block is None:
-                self._blocks[i] = carry
-                return
-            carry = self._merge(carry, block)
-            self._blocks[i] = None
-        self._blocks.append(carry)
-
-    def value(self) -> tuple[int, np.ndarray]:
-        """``(offset, values)`` of the sum so far."""
-        total = None
-        for block in self._blocks:
-            if block is not None:
-                total = (block[0], block[1].copy()) if total is None else self._merge(total, block)
-        if total is None:
-            raise ValueError("nothing accumulated")
-        return total
+def _pairwise_add(sums: list, term: np.ndarray) -> None:
+    """Carry ``term`` up the binary counter ``sums``, whose block ``i`` sums ``2**i`` terms or is ``None``."""
+    for i, block in enumerate(sums):
+        if block is None:
+            sums[i] = term
+            return
+        sums[i], term = None, np.add(block, term, out=block)
+    sums.append(term)
 
 
 def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distribution:
@@ -321,9 +288,11 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
     masses = np.zeros(hi - lo + 1)
     scale = _TOP - int(np.frexp(np.abs(initial.amps).max())[1])
     for amps, e in _parity_classes(initial, lo, len(masses), scale):
-        floats, acc, region = amps.view(np.float64), _PairwiseSum(), None
-        def fold() -> None:  # the region's squares, summed per site, into the pairwise sum
-            acc.add(2 * region.start, blocks.reshape(2, 2, -1, 2).sum(axis=(1, 3)).T.reshape(-1))
+        floats, sums, region = amps.view(np.float64), [], None
+        def fold() -> None:  # the region's squares, summed per site; index i is site lo - 2 + i
+            term = np.zeros(floats.shape[1])
+            term[2 * region.start : 2 * region.stop] = blocks.reshape(2, 2, -1, 2).sum(axis=(1, 3)).T.ravel()
+            _pairwise_add(sums, term)
         for e, now in _propagate(field, lo - 2, amps, e, horizon - 1, _ROOT_TINY):
             if now is not region:
                 if region is not None:
@@ -334,8 +303,9 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
             np.square(squares, out=buffer)
             np.add(by_parity[e], buffer, out=by_parity[e])
         fold()
-        offset, total = acc.value()
-        k = offset - 2  # offsets count from lo - 2; past the window every mass is zero
-        total = np.divide(total[: len(masses) - k], horizon, out=total[: len(masses) - k])
-        masses[k : k + len(total)] += np.ldexp(total, -2 * scale, out=total)  # exact for normal masses
+        total, *higher = (block for block in sums if block is not None)
+        for block in higher:  # low to high, as the counter filled them
+            total += block
+        total = total[2 : 2 + len(masses)]
+        masses += np.ldexp(np.divide(total, horizon, out=total), -2 * scale, out=total)  # exact for normal masses
     return Distribution(lo, masses)

@@ -340,6 +340,18 @@ def test_exit_code_one_on_invalid_input(capsys, tmp_path):
         assert code == 1, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--steps", "5"),
+    ("limit", "--horizon", "20"),
+    ("model", "--id", "1"),
+    ("figure", "--id", "1", "--steps", "5", "--format", "json"),
+])
+def test_svg_without_out_fails_before_any_output(capsys, argv):
+    code, stdout, err = invoke(capsys, *argv, "--svg")
+    assert code == 1 and stdout == ""
+    assert "--out" in err
+
+
 def test_exit_code_one_on_bad_config(capsys, tmp_path):
     cases = {
         "unknown_section.ini": f"[minus]\n{HADAMARD}\n[plus]\n{HADAMARD}\n[weird]\nalpha = 1,0\nbeta = 0,0\n",

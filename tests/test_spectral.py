@@ -507,18 +507,27 @@ def test_geometric_vector_piecewise_values():
     assert gv.values(3, 2).shape == (0, 2)
 
 
+def _closed_form_row(vec, x):
+    """Row ``x`` of ``vec`` from its class docstring's formula, one site at a time."""
+    if x >= vec.plus_cut:
+        return vec.plus_coef * vec.zeta_in ** x
+    if x <= vec.minus_cut:
+        return vec.minus_coef * vec.zeta_out ** x
+    return vec.middle[x - vec.minus_cut - 1]
+
+
 def test_geometric_vector_values_match_value(spectral_of):
-    # the region slices and Python tail powers against value() row by row,
-    # written tolerance 1e-15 relative per entry (measured: bit for bit), on
-    # windows inside, across and beyond the core
+    # the region slices and Python tail powers, and value(), against the
+    # per-site closed form row by row, written tolerance 1e-15 relative per
+    # entry (measured: bit for bit), on windows inside, across and beyond the core
     for fig_id in EXPECTED_COUNTS:
         for pair in spectral_of(fig_id).eigenpairs:
             vec = pair.vector()
             far = vec.tail_halfwidth()
             for lo, hi in [(-far, far), (-3, 2), (1, 1), (far, far + 50), (-far - 50, -far)]:
-                got = vec.values(lo, hi)
-                want = np.array([vec.value(x) for x in range(lo, hi + 1)])
-                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+                want = np.array([_closed_form_row(vec, x) for x in range(lo, hi + 1)])
+                for got in (vec.values(lo, hi), np.array([vec.value(x) for x in range(lo, hi + 1)])):
+                    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_geometric_vector_norm_against_brute_force(spectral_of):

@@ -1,5 +1,6 @@
 """Direct evolution engine: norm conservation, light cone, time averages."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from qwtrap.walk import (
     _TINY,
     _TOP,
     _coin_coefficients,
-    _PairwiseSum,
+    _pairwise_add,
     _parity_classes,
     _propagate,
     defect_field,
@@ -455,13 +456,12 @@ def _per_step_evolve(initial, field, t):
 
 
 def _per_step_average(initial, field, horizon):
-    acc = _PairwiseSum()
+    acc = _PaddedPairwiseSum()
     for lo, cone, left, right in _per_step_cone(initial, field, horizon - 1):
-        acc.add(cone.start, np.abs(left[cone]) ** 2 + np.abs(right[cone]) ** 2)
-    offset, total = acc.value()
-    masses = np.zeros(len(left))
-    masses[offset : offset + len(total)] = total / horizon
-    return lo, masses
+        term = np.zeros(len(left))
+        term[cone] = np.abs(left[cone]) ** 2 + np.abs(right[cone]) ** 2
+        acc.add(term)
+    return lo, acc.value() / horizon
 
 
 #: around the region rebuilds: before, at and after the first, then past the second
@@ -593,8 +593,8 @@ def test_time_averaged_follows_a_pulse_whose_wake_is_flushed():
     """A right-mover on coins with ``|beta|`` = 1e-295 leaves a wake that ``time_averaged`` flushes.
 
     Scaled by about 2**450 the wake stays below 2**-511, so each flush
-    moves the cone's left edge right past the last region: the terms of the
-    pairwise sum then stop covering the earlier ones.
+    moves the cone's left edge right past the last region: a region then
+    stops covering the earlier ones.
     """
     field = uniform_field(make_coin(np.exp(0.4j), 1e-295 * np.exp(1.3j), 0.7))
     initial = WalkState.point(0.0, 1.0)
@@ -602,6 +602,27 @@ def test_time_averaged_follows_a_pulse_whose_wake_is_flushed():
         avg = time_averaged(initial, field, t)
         lo, masses = _per_step_average(initial, field, t)
         assert avg.lo == lo and np.all(np.abs(avg.masses - masses) <= 16 * EPS * masses + _TINY), t
+
+
+#: SHA-256 of ``lo`` and ``float.hex`` of every mass in ``test_time_averages_keep_every_bit``
+AVERAGES_SHA256 = "c5523d525c3987fdcd2572a686cd2f723da3baa2a040544b5a22678672c773d1"
+
+
+def test_time_averages_keep_every_bit():
+    """``time_averaged`` is pinned bit for bit: a change of summation order shows here.
+
+    The presets from a point state around the region rebuilds and past
+    them, the flushing fields, and each preset's late window at ``T`` =
+    1000 (steps 500 .. 999, as ``verify`` checks it).
+    """
+    cases = [(WalkState.point(*p.psi), p.field(), t) for p in PRESETS for t in (*MARGIN_HORIZONS, 2000)]
+    cases += [(initial, field, t) for field, initial in map(_outer_modulus_case, FLUSH_MODULI) for t in FLUSH_HORIZONS]
+    cases += [(evolve(WalkState.point(*p.psi), p.field(), 500), p.field(), 500) for p in PRESETS]
+    digest = hashlib.sha256()
+    for initial, field, t in cases:
+        avg = time_averaged(initial, field, t)
+        digest.update(f"{avg.lo}:{','.join(m.hex() for m in avg.masses.tolist())};".encode())
+    assert digest.hexdigest() == AVERAGES_SHA256
 
 
 def test_coin_coefficients_equal_the_per_site_stack(rng):
@@ -623,44 +644,39 @@ def test_coin_coefficients_equal_the_per_site_stack(rng):
             assert np.array_equal(got, want), (lo, hi)
 
 
-def test_cone_sliced_pairwise_sum_is_bit_identical(rng):
-    width = 61
-    sliced, padded = _PairwiseSum(), _PaddedPairwiseSum()
-    lo, hi = 30, 31
-    for k in range(45):  # not a power of two, so value() joins several blocks
-        lo -= int(rng.integers(0, 2))
-        hi += int(rng.integers(0, 2))
-        lo, hi = max(lo, 0), min(hi, width)
-        term = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 1)
-        term[rng.random(hi - lo) < 0.2] = 0.0
-        padded_term = np.zeros(width)
-        padded_term[lo:hi] = term
-        sliced.add(lo, term.copy())
-        padded.add(padded_term)
-        offset, values = sliced.value()
-        total = np.zeros(width)
-        total[offset : offset + len(values)] = values
+def _check_pairwise_add(rng, runs, width):
+    """Window-length terms nonzero on ``runs`` sum under ``_pairwise_add`` as the reference does.
+
+    About a fifth of each run is exact zeros.  The blocks are added low to
+    high, as ``time_averaged`` adds them.
+    """
+    sums, padded = [], _PaddedPairwiseSum()
+    for k, (lo, hi) in enumerate(runs):
+        term = np.zeros(width)
+        term[lo:hi] = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 1)
+        term[lo:hi][rng.random(hi - lo) < 0.2] = 0.0
+        padded.add(term.copy())
+        _pairwise_add(sums, term)
+        assert [block is not None for block in sums] == [bool((k + 1) >> i & 1) for i in range(len(sums))]
+        total = None
+        for block in sums:
+            if block is not None:
+                total = block.copy() if total is None else total + block
         assert np.array_equal(total, padded.value()), k
-        assert offset == lo and len(values) == hi - lo
+
+
+def test_cone_sliced_pairwise_sum_is_bit_identical(rng):
+    """Terms whose nonzero run grows like the light cone sum as the reference does."""
+    width, lo, hi = 61, 30, 31
+    runs = []
+    for _ in range(45):  # not a power of two, so the sum joins several blocks
+        lo, hi = max(lo - int(rng.integers(0, 2)), 0), min(hi + int(rng.integers(0, 2)), width)
+        runs.append((lo, hi))
+    _check_pairwise_add(rng, runs, width)
 
 
 def test_pairwise_sum_of_shrinking_and_shifting_terms_is_bit_identical(rng):
     """A flush can shrink the region, so a term need not cover the earlier ones."""
     width = 61
-    sliced, padded = _PairwiseSum(), _PaddedPairwiseSum()
-    first, stop = width, 0
-    for k in range(45):
-        lo = int(rng.integers(0, width - 1))
-        hi = int(rng.integers(lo + 1, width + 1))
-        first, stop = min(first, lo), max(stop, hi)
-        term = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 1)
-        term[rng.random(hi - lo) < 0.2] = 0.0
-        padded_term = np.zeros(width)
-        padded_term[lo:hi] = term
-        sliced.add(lo, term.copy())
-        padded.add(padded_term)
-        offset, values = sliced.value()
-        total = np.zeros(width)
-        total[offset : offset + len(values)] = values
-        assert np.array_equal(total, padded.value()), k
-        assert offset == first and len(values) == stop - first
+    runs = [(lo, int(rng.integers(lo + 1, width + 1))) for lo in rng.integers(0, width - 1, 45).tolist()]
+    _check_pairwise_add(rng, runs, width)
