@@ -11,8 +11,8 @@ compared with alternating pairs of benchmark runs (``bench/run.py``), one
 tree then the other, and the ratio within each pair.
 ``--modulus A`` swaps the preset's field for a single-defect field whose
 three coins have ``|alpha| = A``: the cone's edge falls like ``A**t``, so a
-small ``A`` drives the outer tails below the smallest normal double early
-(at ``T`` = 1000 with ``A`` = 0.3).
+small ``A`` drives the outer tails below the kernels' flush floor early,
+and both kernels flush from then on (past step 448 with ``A`` = 0.3).
 
     PYTHONPATH=src python scripts/walk_timing.py --id 1 --horizons 250 1000 2000
     PYTHONPATH=src python scripts/walk_timing.py --modulus 0.3 --horizons 1000

@@ -46,17 +46,10 @@ import numpy as np
 
 from .algebra import Coin, make_coin
 from .walk import CoinField, Distribution, WalkState, evolve, probability, time_averaged
-from .spectral import (
-    NoEigenvalueError,
-    NotInAdmissibleSetError,
-    analyze,
-    find_eigenphases,
-    limit_distribution,
-)
+from .spectral import analyze, find_eigenphases, limit_distribution
 from .models import (
     MODEL_FUNCTIONS,
     UNIT_PSI_TOL,
-    ConstraintError,
     DegeneracyError,
     ModelReport,
     family_report,
@@ -475,13 +468,7 @@ def run(argv) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ConstraintError,
-        NoEigenvalueError,
-        NotInAdmissibleSetError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the package's own errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,15 +40,13 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .algebra import Coin, TWO_PI
+from .algebra import Coin
 from .walk import CoinField, Distribution, defect_field
 from .spectral import (
     GeometricVector,
     build_eigenvector,
     canonical_phase,
     circular_gap,
-    contracting_zeta,
-    expanding_zeta,
 )
 
 # Ties at an existence-condition boundary snap to the boundary value, and
@@ -527,12 +525,10 @@ def defect_closed_form(field: CoinField, lam: float) -> DefectEigenForm:
     certifies it, raising :class:`NoEigenvalueError` otherwise.
     """
     _require(field.x_minus == -1 and field.x_plus == 1, "field must have its only defect at the origin")
-    build_eigenvector(field, lam)
-    lam = float(lam) % TWO_PI
+    pair = build_eigenvector(field, lam)
+    lam, zeta_in, zeta_out = pair.lam, pair.raw.zeta_in, pair.raw.zeta_out
     minus, origin = field.left, field.coin(0)
     ao, bo, dlo = origin.alpha, origin.beta, origin.delta
-    zeta_in = complex(contracting_zeta(field.right, lam))
-    zeta_out = complex(expanding_zeta(minus, lam))
     # unit-modulus matching factor between the half-line solutions
     M = (
         (minus.alpha * zeta_out - cmath.exp(1j * (lam - minus.delta)))

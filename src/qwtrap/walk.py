@@ -18,21 +18,18 @@ is exact, and ``t`` steps from a point state cost about ``t**2 / 2`` site
 updates.  :func:`time_averaged` squares the region's real and imaginary
 parts into a block per parity and, at each rebuild, folds the block's
 per-site sums into a pairwise sum of window-length terms.  Once
-``|alpha|**t`` < 1e-308 the cone's tails turn subnormal, which is slow,
-so a rebuild that finds an outermost column of the cone below
-``floor * 2**200`` sets every real or imaginary part below ``floor`` to
-+0.0 and shrinks the cone to the nonzero columns left.
-:func:`evolve` flushes only subnormals (``floor`` = 2**-1022);
-:func:`time_averaged` scales the state exactly by a power of two to put
-its largest amplitude near 2**450 and flushes below 2**-511, so every
-square it keeps is normal.  By unitarity the flushes move a state by at
-most about 1e-304 (``evolve``) or 1e-285 of its norm (``time_averaged``)
-at ``T`` <= 4000; an all-subnormal state is flushed to zero.  Amplitudes
-agree with a full-window ``einsum`` kernel to ``t * eps`` (``eps`` =
-2.2e-16) per entry and time averages to 1e-13.  Against a kernel that
-updates every site of the cone the amplitudes are equal until a flush,
-and time averages, summed in another order, agree to ``16 eps`` times
-the mass plus the smallest normal double.
+``|alpha|**t`` < 1e-308 the cone's tails would turn subnormal, which is
+slow, so both kernels scale the state exactly by a power of two to put
+its largest amplitude near 2**450, and a rebuild that finds an outermost
+column of the cone below ``floor * 2**200`` sets every real or imaginary
+part below ``floor`` = 2**-511 to +0.0 and shrinks the cone to the nonzero
+columns left: every part kept, and its square, is normal.  By unitarity
+the flushes move a state by at most about 1e-285 of its norm at ``T`` <=
+4000.  Amplitudes agree with a full-window ``einsum`` kernel to ``t * eps``
+(``eps`` = 2.2e-16) per entry and time averages to 1e-13.  Against a
+kernel that updates every site of the cone the amplitudes are equal until
+a flush, and time averages, summed in another order, agree to ``16 eps``
+times the mass plus the smallest normal double.
 """
 
 from __future__ import annotations
@@ -181,31 +178,30 @@ def _coin_coefficients(field: CoinField, lo: int, hi: int) -> np.ndarray:
 
 #: sites per side by which ``_propagate``'s region outgrows the light cone
 _MARGIN = 64
-#: flush floors: ``evolve`` drops only subnormals; ``time_averaged`` scales a state's
-#: largest amplitude to near ``2**_TOP`` and keeps only parts whose squares are normal
-_TINY, _TOP, _ROOT_TINY = np.finfo(np.float64).tiny, 450, 2.0**-511
+#: the kernels scale a state's largest amplitude to near ``2**_TOP`` and flush parts below ``_ROOT_TINY``
+_TOP, _ROOT_TINY = 450, 2.0**-511
 
 
-def _parity_classes(initial: WalkState, lo: int, n: int, scale: int = 0) -> Iterator[tuple[np.ndarray, int]]:
-    """``(amps, e)`` per parity class of ``initial`` that holds a nonzero amplitude.
+def _parity_classes(initial: WalkState, lo: int, n: int) -> tuple[int, list[tuple[np.ndarray, int]]]:
+    """``(scale, classes)``: ``2**scale`` puts the largest amplitude of ``initial`` near ``2**_TOP``.
 
-    ``amps`` holds the class's left- and right-movers times ``2**scale``, ``j`` standing
-    for site ``lo - 2 + 2 j + e``, on the window ``[lo, lo + n - 1]`` plus a spare index per side.
+    ``classes`` holds ``(amps, e)`` per parity class with a nonzero amplitude: its left- and right-movers times
+    ``2**scale``, ``j`` standing for site ``lo - 2 + 2 j + e``, on ``[lo, lo + n - 1]`` plus a spare index per side.
     """
-    m = (n + 6) // 2
+    scale = _TOP - int(np.frexp(np.abs(initial.amps).max())[1])
+    m, classes = (n + 6) // 2, []
     for first in range(min(2, len(initial.amps))):  # a one-site state has one class
         rows = initial.amps[first::2]
         if rows.any():
             site = initial.lo + first - lo + 2  # counted from lo - 2
             amps = np.zeros((2, m), dtype=np.complex128)
             amps[:, site // 2 : site // 2 + len(rows)] = rows.T
-            if scale:  # exact: a power of two
-                np.ldexp(amps.view(np.float64), scale, out=amps.view(np.float64))
-            yield amps, site % 2
+            np.ldexp(amps.view(np.float64), scale, out=amps.view(np.float64))  # exact: a power of two
+            classes.append((amps, site % 2))
+    return scale, classes
 
 
-def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int,
-               floor: float) -> Iterator[tuple[int, slice]]:
+def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int) -> Iterator[tuple[int, slice]]:
     """Steps 0, 1, .., ``t`` of one parity class, in place on its ``(2, m)`` amplitudes.
 
     Index ``j`` stands for site ``base + 2 j + e``; each step flips ``e``.
@@ -213,9 +209,9 @@ def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int,
     nonzero entry and stays the same object until it is rebuilt.  A step
     leaves the left-mover at its last index and the right-mover at its
     first as they were, so the cone ``lo .. hi`` is kept one index inside it.
-    A rebuild that finds the cone's outermost column on either side below ``floor * 2**200``
-    sets every part in the region below ``floor`` to +0.0 and shrinks ``lo .. hi`` to the
-    nonzero columns left; by unitarity a flush moves the state by at most ``sqrt(4 m) * floor``.
+    A rebuild that finds the cone's outermost column on either side below ``_ROOT_TINY * 2**200``
+    sets every part in the region below ``_ROOT_TINY`` to +0.0 and shrinks ``lo .. hi`` to the
+    nonzero columns left; by unitarity a flush moves the state by at most ``sqrt(4 m) * _ROOT_TINY``.
     """
     m = amps.shape[1]
     coins = _coin_coefficients(field, base, base + 2 * m - 1).reshape(4, m, 2)
@@ -224,12 +220,12 @@ def _propagate(field: CoinField, base: int, amps: np.ndarray, e: int, t: int,
     scratch = np.empty((4, m), dtype=np.complex128)
     occupied = np.flatnonzero(amps.any(axis=0))
     lo, hi = int(occupied[0]), int(occupied[-1])
-    r, s, region, guard = lo, hi + 1, None, floor * 2.0**200
+    r, s, region = lo, hi + 1, None
     for remaining in range(t, -1, -1):
         if region is None or remaining and (lo <= r or hi >= s - 1):
-            if min(max(abs(left[j]), abs(right[j])) for j in (lo, hi)) < guard:
+            if min(max(abs(left[j]), abs(right[j])) for j in (lo, hi)) < _ROOT_TINY * 2.0**200:
                 floats = amps[:, r:s].view(np.float64)
-                floats[np.abs(floats, out=scratch.view(np.float64)[:2, : 2 * (s - r)]) < floor] = 0.0
+                floats[np.abs(floats, out=scratch.view(np.float64)[:2, : 2 * (s - r)]) < _ROOT_TINY] = 0.0
                 kept = floats.any(axis=0)
                 if kept.any():  # else the class stays zero
                     lo, hi = r + int(kept.argmax()) // 2, s - 1 - int(kept[::-1].argmax()) // 2
@@ -257,10 +253,12 @@ def evolve(initial: WalkState, field: CoinField, t: int) -> WalkState:
         return initial
     lo, hi = window_for(t, (initial.lo, initial.hi))
     out = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
-    for amps, e in _parity_classes(initial, lo, len(out)):
-        for e, _ in _propagate(field, lo - 2, amps, e, t, _TINY):
+    scale, classes = _parity_classes(initial, lo, len(out))
+    for amps, e in classes:
+        for e, _ in _propagate(field, lo - 2, amps, e, t):
             pass
         out[e::2] = amps[:, 1 : 1 + len(out[e::2])].T  # the classes occupy disjoint sites
+    np.ldexp(out.view(np.float64), -scale, out=out.view(np.float64))  # exact for normal parts
     return WalkState(lo, out)
 
 
@@ -286,14 +284,14 @@ def time_averaged(initial: WalkState, field: CoinField, horizon: int) -> Distrib
         raise ValueError("horizon must be >= 1")
     lo, hi = window_for(horizon - 1, (initial.lo, initial.hi))
     masses = np.zeros(hi - lo + 1)
-    scale = _TOP - int(np.frexp(np.abs(initial.amps).max())[1])
-    for amps, e in _parity_classes(initial, lo, len(masses), scale):
+    scale, classes = _parity_classes(initial, lo, len(masses))
+    for amps, e in classes:
         floats, sums, region = amps.view(np.float64), [], None
         def fold() -> None:  # the region's squares, summed per site; index i is site lo - 2 + i
             term = np.zeros(floats.shape[1])
             term[2 * region.start : 2 * region.stop] = blocks.reshape(2, 2, -1, 2).sum(axis=(1, 3)).T.ravel()
             _pairwise_add(sums, term)
-        for e, now in _propagate(field, lo - 2, amps, e, horizon - 1, _ROOT_TINY):
+        for e, now in _propagate(field, lo - 2, amps, e, horizon - 1):
             if now is not region:
                 if region is not None:
                     fold()
